@@ -49,11 +49,12 @@ impl RuntimeSel {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContentionSpec {
-    /// Concurrent measuring sessions sharing the testbed. 1 reproduces
-    /// the paper's single-client testbed byte for byte.
+    /// Concurrent measuring sessions sharing the testbed. 1 is the
+    /// paper's single-client testbed.
     pub clients: u32,
     /// Server access link rate override, bits/s (`None` = the paper's
-    /// 100 Mbps fast Ethernet).
+    /// 100 Mbps fast Ethernet). Applied at every client count, one
+    /// included.
     pub server_link_rate_bps: Option<u64>,
 }
 
@@ -235,16 +236,16 @@ pub struct ExperimentCell {
     /// numbers don't need it.
     pub trace: bool,
     /// Concurrent measuring sessions sharing the testbed (the `contend`
-    /// extension). 1 — the paper's setup and the default — runs the
-    /// legacy single-client testbed byte-for-byte; N > 1 builds a
-    /// [`crate::scenario::Scenario`] of N clients behind one switch, all
-    /// probing the same server, with per-session results keyed in
-    /// [`crate::runner::CellResult::sessions`].
+    /// extension). Every repetition is a [`crate::scenario::Scenario`]
+    /// of this many clients behind one switch, all probing the same
+    /// server, with per-session results keyed in
+    /// [`crate::runner::CellResult::sessions`]. 1 — the paper's setup
+    /// and the default — is the single-client testbed.
     pub clients: u32,
     /// Override the server access link's line rate, bits/s (`None` = the
-    /// paper's 100 Mbps fast Ethernet). The `contend` experiment narrows
-    /// this shared bottleneck so handshakes queue behind concurrent
-    /// sessions' traffic.
+    /// paper's 100 Mbps fast Ethernet), at every client count. The
+    /// `contend` experiment narrows this shared bottleneck so handshakes
+    /// queue behind concurrent sessions' traffic.
     pub server_link_rate_bps: Option<u64>,
     /// Dynamic shaping of the server's access link: per-direction spec
     /// overrides, time-varying rate schedules and the queue discipline

@@ -9,10 +9,17 @@
 //! repetitions are order-independent — [`crate::exec::Executor`] runs
 //! them on as many threads as the machine has and still reproduces the
 //! serial numbers bit-for-bit.
+//!
+//! Every repetition takes one path, whatever the client count: build a
+//! [`Scenario`] of `cell.clients` sessions from `rep_setup`, run it,
+//! and match each session's capture. The paper's single-client testbed
+//! is the one-session scenario.
 
-use bnm_browser::BrowserProfile;
+use bnm_browser::{session_token, BrowserProfile, ProbePlan, RoundResult};
 use bnm_obs::{Trace, TraceData};
 use bnm_sim::capture::CaptureSink;
+use bnm_sim::link::LinkSpec;
+use bnm_sim::time::SimDuration;
 use bnm_sim::{rng, CaptureRecord};
 use bnm_stats::QuantileSketch;
 use bnm_time::MachineTimer;
@@ -22,11 +29,11 @@ use crate::config::{ExperimentCell, RuntimeSel};
 use crate::delta::RoundMeasurement;
 use crate::error::RunError;
 use crate::exec::Executor;
-use crate::matching::{match_datagram_train, MatchError, ParsedCapture, ProbeStatus};
+use crate::matching::{match_datagram_train, MatchError, ParsedCapture, ProbeStatus, WireTimes};
 use crate::report::{DatagramReport, DistSummary, LinkReport, ReportSnapshot, WindowReport};
 use crate::scenario::{Scenario, SessionSpec};
 use crate::streaming::{DiscardSink, ServerMarkerIndex, SessionMarkerSink};
-use crate::testbed::{Testbed, TestbedConfig};
+use crate::testbed::TestbedConfig;
 
 /// Sketch-backed Δd distributions for one session — the bounded-memory
 /// companion to the raw vectors when the cell runs with
@@ -438,7 +445,7 @@ impl CellResult {
 
 /// Sessions below this threshold match serially in the batch path:
 /// thread spin-up costs more than the matching itself for small
-/// scenarios (and the single-client path never fans out at all).
+/// scenarios, the paper's one-client cells among them.
 const PARALLEL_MATCH_MIN_SESSIONS: usize = 16;
 
 /// One session's matching work, drained out of its tap so worker
@@ -446,8 +453,106 @@ const PARALLEL_MATCH_MIN_SESSIONS: usize = 16;
 struct SessionMatchItem {
     sid: u64,
     token: u64,
-    rounds: Vec<bnm_browser::RoundResult>,
+    rounds: Vec<RoundResult>,
     records: Vec<CaptureRecord>,
+}
+
+/// The testbed configuration and one session spec per client for one
+/// repetition of `cell`, running `plan` on `profile`.
+///
+/// Every stream derives from `(cell.seed, rep)` and the cell label
+/// alone. Session 0 draws from the unsuffixed labels, so the reference
+/// client is the *same client* at every client count — only its
+/// competition changes; sessions 1.. derive from `".s{id}"`-suffixed
+/// labels.
+///
+/// All repetitions of a cell run on the *same machine*, a few seconds
+/// apart: one timer-regime timeline, sampled at increasing offsets.
+/// This is what makes a 50-rep Windows cell sit inside one granularity
+/// regime (two discrete Δd levels, Figure 4) or straddle a regime
+/// change — exactly like the paper's wall-clock sessions. The timeline
+/// itself differs per cell (the seed mixes in the cell label), the way
+/// different experiment sessions landed on different afternoons.
+pub(crate) fn rep_setup(
+    cell: &ExperimentCell,
+    rep: u32,
+    plan: ProbePlan,
+    profile: BrowserProfile,
+) -> (TestbedConfig, Vec<SessionSpec>) {
+    let label = cell.label();
+    let mut cfg = TestbedConfig {
+        server_delay: cell.server_delay,
+        capture_noise_ns: cell.capture_noise_ns,
+        seed: rng::derive_seed(cell.seed, "capture"),
+        impairment: cell.impairment,
+        server_shape: cell.link_shape.clone(),
+        ..TestbedConfig::default()
+    };
+    if let Some(rate) = cell.server_link_rate_bps {
+        cfg.server_link = LinkSpec {
+            rate_bps: rate,
+            ..LinkSpec::fast_ethernet()
+        };
+    }
+    let offset = SimDuration::from_secs(4).saturating_mul(u64::from(rep));
+    let specs = (0..u64::from(cell.clients))
+        .map(|sid| {
+            let suffix = if sid == 0 {
+                String::new()
+            } else {
+                format!(".s{sid}")
+            };
+            let machine_seed = rng::derive_seed(cell.seed, &format!("machine.{label}{suffix}"));
+            let session_seed = rng::derive_seed(cell.seed, &format!("session.{label}{suffix}"));
+            SessionSpec {
+                id: sid,
+                plan: plan.clone(),
+                profile: profile.clone(),
+                machine: MachineTimer::new(cell.os, machine_seed).at_offset(offset),
+                seed: session_seed ^ u64::from(rep),
+            }
+        })
+        .collect();
+    (cfg, specs)
+}
+
+/// Judge one session's rounds in order and push each measured one:
+///
+/// 1. the client-tap match — [`MatchError::Retransmitted`] excludes the
+///    round, any other match error ends the session;
+/// 2. the server-tap retransmission check — a hit excludes the round;
+/// 3. otherwise the round is a measurement.
+///
+/// The streaming and batch paths differ only in the marker source
+/// behind the two closures. Returns the number of excluded rounds.
+fn judge_rounds(
+    sid: u64,
+    rounds: &[RoundResult],
+    client_match: impl Fn(u8) -> Result<WireTimes, MatchError>,
+    server_retransmitted: impl Fn(u8) -> bool,
+    out: &mut Vec<RoundMeasurement>,
+) -> Result<u32, RunError> {
+    let mut excluded = 0u32;
+    for r in rounds {
+        let wire = match client_match(r.round) {
+            Err(MatchError::Retransmitted) => {
+                excluded += 1;
+                continue;
+            }
+            other => other?,
+        };
+        if server_retransmitted(r.round) {
+            excluded += 1;
+            continue;
+        }
+        out.push(RoundMeasurement {
+            session: sid,
+            round: r.round,
+            browser: *r,
+            wire,
+        });
+    }
+    Ok(excluded)
 }
 
 /// Runs experiment cells.
@@ -480,6 +585,12 @@ impl ExperimentRunner {
     /// One repetition, returning measurements *and* — when the cell has
     /// tracing on — the trace and its per-round Δd attribution.
     ///
+    /// The repetition is one [`Scenario`] of `cell.clients` sessions
+    /// (the paper's testbed is the one-session case), every session
+    /// running the cell's method concurrently against the shared
+    /// server; each session's capture is matched independently through
+    /// its composite marker token.
+    ///
     /// Tracing does not perturb the measurement: the session draws its
     /// random delays in the same order either way, so a traced rep
     /// reports bit-identical Δd to an untraced one.
@@ -488,46 +599,18 @@ impl ExperimentRunner {
         if !cell.method.available_in(&profile) {
             return Err(RunError::unrunnable(cell));
         }
-        if cell.clients > 1 {
-            return Self::run_rep_scenario(cell, rep, profile);
-        }
-        // All repetitions of a cell run on the *same machine*, a few
-        // seconds apart: one timer-regime timeline, sampled at increasing
-        // offsets. This is what makes a 50-rep Windows cell sit inside
-        // one granularity regime (two discrete Δd levels, Figure 4) or
-        // straddle a regime change — exactly like the paper's wall-clock
-        // sessions. The timeline itself differs per cell (seed mixes in
-        // the cell label), the way different experiment sessions landed
-        // on different afternoons.
-        let machine_seed = rng::derive_seed(cell.seed, &format!("machine.{}", cell.label()));
-        let machine = MachineTimer::new(cell.os, machine_seed)
-            .at_offset(bnm_sim::time::SimDuration::from_secs(4).saturating_mul(u64::from(rep)));
-        let session_seed = rng::derive_seed(cell.seed, &format!("session.{}", cell.label()));
-        let tb_cfg = TestbedConfig {
-            server_delay: cell.server_delay,
-            capture_noise_ns: cell.capture_noise_ns,
-            seed: rng::derive_seed(cell.seed, "capture"),
-            impairment: cell.impairment,
-            server_shape: cell.link_shape.clone(),
-            ..TestbedConfig::default()
-        };
         let plan = cell.method.plan(cell.timing_override);
         let plan_rounds = plan.rounds;
+        let (cfg, specs) = rep_setup(cell, rep, plan, profile);
         let trace = if cell.trace {
             Trace::enabled()
         } else {
             Trace::disabled()
         };
-        let mut tb = Testbed::build_traced(
-            &tb_cfg,
-            plan,
-            profile,
-            machine,
-            u64::from(rep),
-            session_seed ^ u64::from(rep),
-            trace,
-        );
-        let token = u64::from(rep);
+        let mut sc = Scenario::build_traced(&cfg, specs, u64::from(rep), trace);
+        let tokens: Vec<u64> = (0..sc.len())
+            .map(|i| session_token(sc.session_id(i), u64::from(rep)))
+            .collect();
         let is_datagram = cell.method.is_datagram();
         // Datagram appraisal needs full stamps from *both* taps (one-way
         // delays come from the mid-path view), which the marker sinks do
@@ -537,170 +620,7 @@ impl ExperimentRunner {
             // Streaming mode: marker sinks consume every record at
             // capture time (identically stamped and truncated to what a
             // retaining tap would store), so frames recycle through the
-            // pool mid-run instead of pinning until the parse below.
-            Self::install_sinks(
-                &mut tb.engine,
-                std::slice::from_ref(&tb.client_tap),
-                tb.server_tap,
-                cell,
-                plan_rounds,
-                &[token],
-            );
-        }
-        tb.run();
-        let link = Self::read_link_report(&tb.engine, tb.server_link, tb.server, tb.switch);
-        let session = tb.session();
-        if !session.result().completed {
-            return Err(RunError::Match(MatchError::ResponseNotFound));
-        }
-        let rounds = session.result().rounds.clone();
-        let mut out = Vec::with_capacity(rounds.len());
-        let mut excluded = 0u32;
-        let mut datagram = Vec::new();
-        if streaming {
-            let client_sink = Self::take_session_sink(&mut tb.engine, tb.client_tap);
-            let server_index = Self::take_server_index(&mut tb.engine, tb.server_tap);
-            Self::fold_streamed_session(
-                0,
-                token,
-                &rounds,
-                &*client_sink,
-                server_index.as_deref(),
-                &mut out,
-                &mut excluded,
-            )?;
-        } else if is_datagram {
-            // Per-probe appraisal from both taps: the server view is
-            // mandatory even on a clean network — it carries the
-            // mid-path stamps the one-way delays are computed from.
-            let parsed = ParsedCapture::parse(tb.engine.tap(tb.client_tap));
-            let server_parsed = ParsedCapture::parse(tb.engine.tap(tb.server_tap));
-            let d = Self::fold_datagram_session(
-                cell.method,
-                plan_rounds,
-                token,
-                0,
-                &rounds,
-                &parsed,
-                &server_parsed,
-                &mut out,
-            );
-            datagram.push((0, d));
-        } else {
-            // Parse each capture once; every round then matches against
-            // the pre-parsed records instead of re-decoding the whole
-            // trace.
-            let parsed = ParsedCapture::parse(tb.engine.tap(tb.client_tap));
-            // The server-side capture only matters when the network can
-            // lose frames: a response dropped downstream leaves the
-            // client-side trace looking clean (one Tx, one Rx) while the
-            // server's NIC saw the response leave twice. Clean cells
-            // skip the parse.
-            let server_parsed = (!cell.impairment.is_clean())
-                .then(|| ParsedCapture::parse(tb.engine.tap(tb.server_tap)));
-            for r in rounds {
-                let wire = match parsed.match_round(cell.method, r.round, token) {
-                    Err(MatchError::Retransmitted) => {
-                        excluded += 1;
-                        continue;
-                    }
-                    other => other?,
-                };
-                if server_parsed
-                    .as_ref()
-                    .is_some_and(|sp| sp.round_retransmitted(cell.method, r.round, token))
-                {
-                    excluded += 1;
-                    continue;
-                }
-                out.push(RoundMeasurement {
-                    session: 0,
-                    round: r.round,
-                    browser: r,
-                    wire,
-                });
-            }
-        }
-        let trace = tb.take_trace();
-        let attribution = match &trace {
-            Some(t) => attribution::attribute(t, &out, rep)?,
-            None => Vec::new(),
-        };
-        Ok(RepOutcome {
-            measurements: out,
-            trace,
-            attribution,
-            excluded,
-            excluded_by_session: vec![(0, excluded)],
-            datagram,
-            link,
-        })
-    }
-
-    /// One repetition of a multi-client cell: one [`Scenario`] of
-    /// `cell.clients` sessions, every session running the cell's method
-    /// concurrently against the shared server; each session's capture is
-    /// matched independently through its composite marker token.
-    ///
-    /// Session 0's seed streams derive from exactly the labels the
-    /// single-client path uses, so the reference client is the *same
-    /// client* across client counts — only its competition changes.
-    /// Sessions 1.. derive from `".s{id}"`-suffixed labels.
-    fn run_rep_scenario(
-        cell: &ExperimentCell,
-        rep: u32,
-        profile: BrowserProfile,
-    ) -> Result<RepOutcome, RunError> {
-        let label = cell.label();
-        let mut tb_cfg = TestbedConfig {
-            server_delay: cell.server_delay,
-            capture_noise_ns: cell.capture_noise_ns,
-            seed: rng::derive_seed(cell.seed, "capture"),
-            impairment: cell.impairment,
-            server_shape: cell.link_shape.clone(),
-            ..TestbedConfig::default()
-        };
-        if let Some(rate) = cell.server_link_rate_bps {
-            tb_cfg.server_link = bnm_sim::link::LinkSpec {
-                rate_bps: rate,
-                ..bnm_sim::link::LinkSpec::fast_ethernet()
-            };
-        }
-        let plan = cell.method.plan(cell.timing_override);
-        let plan_rounds = plan.rounds;
-        let specs = (0..u64::from(cell.clients))
-            .map(|sid| {
-                let suffix = if sid == 0 {
-                    String::new()
-                } else {
-                    format!(".s{sid}")
-                };
-                let machine_seed = rng::derive_seed(cell.seed, &format!("machine.{label}{suffix}"));
-                let machine = MachineTimer::new(cell.os, machine_seed).at_offset(
-                    bnm_sim::time::SimDuration::from_secs(4).saturating_mul(u64::from(rep)),
-                );
-                let session_seed = rng::derive_seed(cell.seed, &format!("session.{label}{suffix}"));
-                SessionSpec {
-                    id: sid,
-                    plan: plan.clone(),
-                    profile: profile.clone(),
-                    machine,
-                    seed: session_seed ^ u64::from(rep),
-                }
-            })
-            .collect();
-        let trace = if cell.trace {
-            Trace::enabled()
-        } else {
-            Trace::disabled()
-        };
-        let mut sc = Scenario::build_traced(&tb_cfg, specs, u64::from(rep), trace);
-        let is_datagram = cell.method.is_datagram();
-        let streaming = cell.streaming.stream_captures && !is_datagram;
-        if streaming {
-            let tokens: Vec<u64> = (0..sc.len())
-                .map(|i| bnm_browser::session_token(sc.session_id(i), u64::from(rep)))
-                .collect();
+            // pool mid-run instead of pinning until the match below.
             Self::install_sinks(
                 &mut sc.engine,
                 &sc.client_taps,
@@ -722,21 +642,23 @@ impl ExperimentRunner {
         let mut excluded_by_session = Vec::with_capacity(sc.len());
         let mut datagram = Vec::new();
         if streaming {
-            let server_index = Self::take_server_index(&mut sc.engine, sc.server_tap);
-            for i in 0..sc.len() {
+            // The server sink is the marker index on an impaired network
+            // and a discard sink on a clean one (no server-side check).
+            let server_sink = Self::take_sink(&mut sc.engine, sc.server_tap);
+            let index = server_sink.as_any().downcast_ref::<ServerMarkerIndex>();
+            for (i, &token) in tokens.iter().enumerate() {
                 let sid = sc.session_id(i);
-                let token = bnm_browser::session_token(sid, u64::from(rep));
-                let rounds = sc.session(i).result().rounds.clone();
-                let client_sink = Self::take_session_sink(&mut sc.engine, sc.client_taps[i]);
-                let mut excluded = 0u32;
-                Self::fold_streamed_session(
+                let client_sink = Self::take_sink(&mut sc.engine, sc.client_taps[i]);
+                let sink = client_sink
+                    .as_any()
+                    .downcast_ref::<SessionMarkerSink>()
+                    .expect("client tap sink is a SessionMarkerSink");
+                let excluded = judge_rounds(
                     sid,
-                    token,
-                    &rounds,
-                    &*client_sink,
-                    server_index.as_deref(),
+                    &sc.session(i).result().rounds,
+                    |round| sink.match_round(round),
+                    |round| index.is_some_and(|ix| ix.round_retransmitted(round, token)),
                     &mut out,
-                    &mut excluded,
                 )?;
                 excluded_total += excluded;
                 excluded_by_session.push((sid, excluded));
@@ -749,22 +671,23 @@ impl ExperimentRunner {
             // ascending session order, and a session's first match error
             // is reported exactly where the serial loop would have
             // stopped, so output is bit-identical to serial matching.
+            // The server capture is parsed only when it carries evidence:
+            // datagram one-way stamps, or retransmissions a lossy network
+            // hides from the client tap (a response dropped downstream
+            // leaves the client trace clean while the server's NIC saw it
+            // leave twice).
             let server_parsed = (is_datagram || !cell.impairment.is_clean())
                 .then(|| ParsedCapture::parse(sc.engine.tap(sc.server_tap)));
-            let mut items: Vec<SessionMatchItem> = (0..sc.len())
-                .map(|i| {
-                    let sid = sc.session_id(i);
-                    SessionMatchItem {
-                        sid,
-                        token: bnm_browser::session_token(sid, u64::from(rep)),
-                        rounds: sc.session(i).result().rounds.clone(),
-                        records: Vec::new(),
-                    }
+            let items: Vec<SessionMatchItem> = tokens
+                .iter()
+                .enumerate()
+                .map(|(i, &token)| SessionMatchItem {
+                    sid: sc.session_id(i),
+                    token,
+                    rounds: sc.session(i).result().rounds.clone(),
+                    records: sc.engine.tap_mut(sc.client_taps[i]).drain(),
                 })
                 .collect();
-            for (i, item) in items.iter_mut().enumerate() {
-                item.records = sc.engine.tap_mut(sc.client_taps[i]).drain();
-            }
             let workers = Self::match_worker_count(cell, items.len());
             let matched = crate::exec::fan_out(items, workers, |_, item| {
                 Self::match_session(cell, plan_rounds, item, server_parsed.as_ref())
@@ -845,76 +768,12 @@ impl ExperimentRunner {
         engine.tap_mut(server_tap).set_sink(server_sink);
     }
 
-    /// Remove the streaming sink from a client tap after the run.
-    fn take_session_sink(
-        engine: &mut bnm_sim::Engine,
-        tap: bnm_sim::TapId,
-    ) -> Box<dyn CaptureSink> {
+    /// Remove the streaming sink from a tap after the run.
+    fn take_sink(engine: &mut bnm_sim::Engine, tap: bnm_sim::TapId) -> Box<dyn CaptureSink> {
         engine
             .tap_mut(tap)
             .take_sink()
-            .expect("streaming client tap carries a sink")
-    }
-
-    /// Remove the server tap's sink; `Some` when it is the impaired-run
-    /// marker index, `None` for the clean-run discard sink.
-    fn take_server_index(
-        engine: &mut bnm_sim::Engine,
-        tap: bnm_sim::TapId,
-    ) -> Option<Box<dyn CaptureSink>> {
-        let sink = engine
-            .tap_mut(tap)
-            .take_sink()
-            .expect("streaming server tap carries a sink");
-        sink.as_any()
-            .downcast_ref::<ServerMarkerIndex>()
-            .is_some()
-            .then_some(sink)
-    }
-
-    /// Replay one streamed session's rounds from its sink's accumulated
-    /// marker evidence — the same checks in the same order as
-    /// [`ParsedCapture::match_round`] plus the server-side
-    /// retransmission rule, appending measurements and counting
-    /// exclusions exactly like the batch loop.
-    fn fold_streamed_session(
-        sid: u64,
-        token: u64,
-        rounds: &[bnm_browser::RoundResult],
-        client_sink: &dyn CaptureSink,
-        server_index: Option<&dyn CaptureSink>,
-        out: &mut Vec<RoundMeasurement>,
-        excluded: &mut u32,
-    ) -> Result<(), RunError> {
-        let sink = client_sink
-            .as_any()
-            .downcast_ref::<SessionMarkerSink>()
-            .expect("client tap sink is a SessionMarkerSink");
-        let index = server_index.map(|s| {
-            s.as_any()
-                .downcast_ref::<ServerMarkerIndex>()
-                .expect("server tap sink is a ServerMarkerIndex")
-        });
-        for r in rounds {
-            let wire = match sink.match_round(r.round) {
-                Err(MatchError::Retransmitted) => {
-                    *excluded += 1;
-                    continue;
-                }
-                other => other?,
-            };
-            if index.is_some_and(|ix| ix.round_retransmitted(r.round, token)) {
-                *excluded += 1;
-                continue;
-            }
-            out.push(RoundMeasurement {
-                session: sid,
-                round: r.round,
-                browser: *r,
-                wire,
-            });
-        }
-        Ok(())
+            .expect("streaming tap carries a sink")
     }
 
     /// Worker threads for batch-path session matching: the explicit
@@ -935,11 +794,10 @@ impl ExperimentRunner {
         }
     }
 
-    /// Match one session's drained records: parse once, match every
-    /// round, apply the server-side retransmission rule. Stops at the
-    /// session's first hard error, exactly like the serial loop.
-    /// Datagram methods take the per-probe path instead and never
-    /// exclude rounds.
+    /// Match one session's drained records: parse once, then judge every
+    /// round against the parsed client capture and, when given, the
+    /// server's. Datagram methods take the per-probe path instead and
+    /// never exclude rounds.
     fn match_session(
         cell: &ExperimentCell,
         plan_rounds: u8,
@@ -947,9 +805,9 @@ impl ExperimentRunner {
         server_parsed: Option<&ParsedCapture>,
     ) -> Result<(u64, Vec<RoundMeasurement>, u32, Option<DatagramSamples>), RunError> {
         let parsed = ParsedCapture::parse_records(&item.records);
+        let mut out = Vec::with_capacity(item.rounds.len());
         if cell.method.is_datagram() {
             let server = server_parsed.expect("datagram matching always parses the server tap");
-            let mut out = Vec::new();
             let d = Self::fold_datagram_session(
                 cell.method,
                 plan_rounds,
@@ -962,29 +820,16 @@ impl ExperimentRunner {
             );
             return Ok((item.sid, out, 0, Some(d)));
         }
-        let mut out = Vec::with_capacity(item.rounds.len());
-        let mut excluded = 0u32;
-        for r in item.rounds {
-            let wire = match parsed.match_round(cell.method, r.round, item.token) {
-                Err(MatchError::Retransmitted) => {
-                    excluded += 1;
-                    continue;
-                }
-                other => other?,
-            };
-            if server_parsed
-                .is_some_and(|sp| sp.round_retransmitted(cell.method, r.round, item.token))
-            {
-                excluded += 1;
-                continue;
-            }
-            out.push(RoundMeasurement {
-                session: item.sid,
-                round: r.round,
-                browser: r,
-                wire,
-            });
-        }
+        let excluded = judge_rounds(
+            item.sid,
+            &item.rounds,
+            |round| parsed.match_round(cell.method, round, item.token),
+            |round| {
+                server_parsed
+                    .is_some_and(|sp| sp.round_retransmitted(cell.method, round, item.token))
+            },
+            &mut out,
+        )?;
         Ok((item.sid, out, excluded, None))
     }
 
@@ -1079,19 +924,6 @@ impl ExperimentRunner {
         } else {
             p
         })
-    }
-
-    /// Resolve the runtime profile for a cell.
-    ///
-    /// # Panics
-    /// If the browser does not exist on the cell's OS; callers that have
-    /// not checked [`ExperimentCell::is_runnable`] should prefer
-    /// [`ExperimentRunner::try_profile`].
-    pub fn profile(cell: &ExperimentCell) -> BrowserProfile {
-        match Self::try_profile(cell) {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
-        }
     }
 }
 
@@ -1280,7 +1112,7 @@ mod tests {
         assert_eq!(r.measurements.len(), 18);
     }
 
-    /// The single-client path reports exactly one session entry that
+    /// A single-client cell reports exactly one session entry that
     /// mirrors the flat sample sets.
     #[test]
     fn single_client_cell_has_one_session_entry() {

@@ -3,11 +3,14 @@
 //! The paper's testbed (Figure 2) is one client machine measuring through
 //! one switch. A [`Scenario`] generalizes it: N browser sessions, each
 //! with its own TCP stack, machine timer and client-side capture tap,
-//! share the switch and contend for the same web server. The
-//! single-client [`crate::testbed::Testbed`] is the N = 1 special case —
-//! it is *built through* this module, so a one-session scenario is
-//! byte-identical to the legacy testbed by construction (asserted by
-//! `tests/scenario_parity.rs`).
+//! share the switch and contend for the same web server. The paper's
+//! single-client testbed is the N = 1 case: the runner builds every
+//! repetition here, whatever the client count, and
+//! [`crate::testbed::Testbed`] is a thin one-session wrapper. Session 0
+//! always gets the testbed's fixed identity — addresses, ports, seed
+//! streams and a marker token equal to the rep token
+//! (`tests/scenario_parity.rs` checks the runner against a hand-built
+//! one-session scenario).
 //!
 //! Contention enters the measured Δd through exactly one door: time spent
 //! *before* `tN_s` inside the browser-timed interval. Network queueing
@@ -20,7 +23,7 @@
 use std::net::Ipv4Addr;
 
 use bnm_browser::session::SessionConfig;
-use bnm_browser::{BrowserProfile, BrowserSession, ProbePlan};
+use bnm_browser::{BrowserProfile, BrowserSession, ProbePlan, ProbeTransport};
 use bnm_http::server::WebServer;
 use bnm_obs::{Trace, TraceData};
 use bnm_sim::capture::{CaptureBuffer, TimestampNoise};
@@ -97,8 +100,8 @@ pub fn client_addr(position: usize) -> (String, MacAddr, Ipv4Addr) {
 /// N concurrent browser sessions attached through one switch to one web
 /// server. Nodes, links and taps are created in a fixed order (clients by
 /// ascending session id, then server, then switch extras), so a scenario
-/// is deterministic and — at N = 1 with the default config — reproduces
-/// the legacy [`crate::testbed::Testbed`] wiring byte for byte.
+/// is deterministic and — at N = 1 with the default config — is the
+/// paper's Figure 2 wiring.
 pub struct Scenario {
     /// The shared simulation engine.
     pub engine: Engine,
@@ -133,8 +136,7 @@ impl Scenario {
     /// [`client_addr`] (two address octets).
     pub const ADDRESS_CAPACITY: usize = 65_536;
 
-    /// Start building a scenario, mirroring
-    /// [`crate::testbed::Testbed::builder`]. Validates at
+    /// Start building a scenario. Validates at
     /// [`ScenarioBuilder::build`] time instead of panicking.
     pub fn builder() -> ScenarioBuilder {
         ScenarioBuilder::new()
@@ -420,8 +422,7 @@ impl Scenario {
     }
 }
 
-/// Builds a [`Scenario`], mirroring [`crate::testbed::TestbedBuilder`]:
-/// every knob defaults to the single-client paper testbed, and
+/// Builds a [`Scenario`]: every knob defaults to the paper testbed, and
 /// validation happens once in [`ScenarioBuilder::build`] — returning
 /// [`RunError`] instead of panicking mid-construction.
 ///
@@ -514,7 +515,12 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Validate and build the scenario.
+    /// Validate and build the scenario. Reports
+    /// [`RunError::InvalidInput`] for conditions that
+    /// [`Scenario::build_traced`] would panic on or the engine would
+    /// trip over mid-run: no sessions, a session count over the limit,
+    /// duplicate ids, a WebSocket plan on a runtime without WebSocket,
+    /// and degenerate link parameters.
     pub fn build(mut self) -> Result<Scenario, RunError> {
         if self.specs.is_empty() {
             return Err(RunError::InvalidInput(
@@ -538,6 +544,13 @@ impl ScenarioBuilder {
         if self.specs.windows(2).any(|w| w[0].id == w[1].id) {
             return Err(RunError::InvalidInput("duplicate session id in scenario"));
         }
+        if self.specs.iter().any(|s| {
+            s.plan.transport == ProbeTransport::WebSocketEcho && !s.profile.supports_websocket
+        }) {
+            return Err(RunError::InvalidInput(
+                "plan requires WebSocket but the runtime lacks it",
+            ));
+        }
         // Degenerate link parameters (zero rate, zero queue bound) would
         // panic or hang deep inside the engine; reject them here.
         self.cfg
@@ -560,7 +573,7 @@ impl ScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bnm_browser::{BrowserKind, ProbeTransport, Technology};
+    use bnm_browser::{BrowserKind, Technology};
     use bnm_time::{OsKind, TimingApiKind};
 
     fn xhr_plan() -> ProbePlan {
@@ -702,6 +715,120 @@ mod tests {
                 .build(),
             Err(RunError::InvalidInput(_))
         ));
+    }
+
+    #[test]
+    fn builder_rejects_websocket_on_a_runtime_without_it() {
+        // IE9 has no WebSocket (Table 2): any session asking for it is
+        // reported up front instead of panicking mid-run.
+        let ws_plan = ProbePlan::new(
+            "websocket",
+            Technology::Native,
+            ProbeTransport::WebSocketEcho,
+            TimingApiKind::JsDateGetTime,
+        );
+        let ie9 = SessionSpec {
+            id: 1,
+            plan: ws_plan.clone(),
+            profile: BrowserProfile::build(BrowserKind::Ie9, OsKind::Windows7).unwrap(),
+            machine: MachineTimer::new(OsKind::Windows7, 1),
+            seed: 1,
+        };
+        assert_eq!(
+            Scenario::builder().sessions([spec(0), ie9]).build().err(),
+            Some(RunError::InvalidInput(
+                "plan requires WebSocket but the runtime lacks it"
+            ))
+        );
+        // The same plan on a runtime with WebSocket builds and runs.
+        let mut sc = Scenario::builder()
+            .session(SessionSpec {
+                plan: ws_plan,
+                ..spec(0)
+            })
+            .build()
+            .unwrap();
+        sc.run();
+        assert!(sc.session(0).result().completed);
+    }
+
+    #[test]
+    fn builder_rejects_degenerate_link_specs() {
+        let with = |cfg: TestbedConfig| Scenario::builder().config(cfg).session(spec(0)).build();
+        let zero_rate = with(TestbedConfig {
+            server_link: LinkSpec {
+                rate_bps: 0,
+                ..LinkSpec::fast_ethernet()
+            },
+            ..TestbedConfig::default()
+        });
+        assert_eq!(
+            zero_rate.err(),
+            Some(RunError::InvalidInput("link rate_bps must be positive"))
+        );
+        let zero_queue = with(TestbedConfig {
+            server_link: LinkSpec {
+                queue_limit_bytes: 0,
+                ..LinkSpec::fast_ethernet()
+            },
+            ..TestbedConfig::default()
+        });
+        assert_eq!(
+            zero_queue.err(),
+            Some(RunError::InvalidInput(
+                "link queue_limit_bytes must be positive"
+            ))
+        );
+        let bad_shape = with(TestbedConfig {
+            server_shape: bnm_sim::LinkShape {
+                down_spec: Some(LinkSpec {
+                    rate_bps: 0,
+                    ..LinkSpec::fast_ethernet()
+                }),
+                ..bnm_sim::LinkShape::default()
+            },
+            ..TestbedConfig::default()
+        });
+        assert!(matches!(bad_shape, Err(RunError::InvalidInput(_))));
+        // A valid shape builds and runs.
+        let mut sc = with(TestbedConfig {
+            server_shape: bnm_sim::LinkShape::symmetric(bnm_sim::LinkDynamics::codel()),
+            ..TestbedConfig::default()
+        })
+        .unwrap();
+        sc.run();
+        assert!(sc.session(0).result().completed);
+    }
+
+    #[test]
+    fn traced_builder_matches_the_one_session_testbed() {
+        let mut sc = Scenario::builder()
+            .session(spec(0))
+            .trace(Trace::enabled())
+            .build()
+            .unwrap();
+        sc.run();
+        assert!(sc.session(0).result().completed);
+        let data = sc.take_trace().expect("tracing was enabled");
+        assert!(data.counters["link.frames"] > 0);
+        assert!(data
+            .events
+            .iter()
+            .any(|e| e.scope == "session" && e.label == "round.start"));
+        // Same spec through the untraced testbed wrapper: identical wire
+        // behaviour, no trace.
+        let s = spec(0);
+        let mut tb = crate::testbed::Testbed::build(
+            &TestbedConfig::default(),
+            s.plan,
+            s.profile,
+            s.machine,
+            0,
+            s.seed,
+        );
+        tb.run();
+        assert!(tb.take_trace().is_none());
+        assert_eq!(sc.session(0).result().rounds, tb.session().result().rounds);
     }
 
     #[test]

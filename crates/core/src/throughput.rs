@@ -9,16 +9,14 @@
 
 use bnm_methods::MethodId;
 use bnm_sim::capture::{CaptureBuffer, CaptureDir};
-use bnm_sim::rng;
 use bnm_sim::time::SimTime;
 use bnm_sim::wire::{ParsedPacket, Transport};
-use bnm_time::MachineTimer;
 
 use crate::config::ExperimentCell;
 use crate::error::RunError;
 use crate::matching::MatchError;
-use crate::runner::ExperimentRunner;
-use crate::testbed::{Testbed, TestbedConfig};
+use crate::runner::{rep_setup, ExperimentRunner};
+use crate::scenario::Scenario;
 
 /// One bulk-download measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,7 +117,9 @@ pub fn match_bulk_round(
 }
 
 /// Run one throughput repetition: download `n` bytes per round through
-/// the cell's method.
+/// the cell's method. The repetition is built exactly like a Δd
+/// repetition of the same cell; the reference client (session 0) is the
+/// one whose downloads are measured.
 pub fn run_bulk_rep(
     cell: &ExperimentCell,
     rep: u32,
@@ -129,41 +129,30 @@ pub fn run_bulk_rep(
     if !cell.method.available_in(&profile) {
         return Err(RunError::unrunnable(cell));
     }
-    let machine_seed = rng::derive_seed(cell.seed, &format!("machine.{}", cell.label()));
-    let machine = MachineTimer::new(cell.os, machine_seed)
-        .at_offset(bnm_sim::time::SimDuration::from_secs(4).saturating_mul(u64::from(rep)));
-    let tb_cfg = TestbedConfig {
-        server_delay: cell.server_delay,
-        capture_noise_ns: cell.capture_noise_ns,
-        seed: rng::derive_seed(cell.seed, "capture"),
-        ..TestbedConfig::default()
-    };
     let plan = cell.method.plan(cell.timing_override).with_bulk(n);
-    let mut tb = Testbed::build(
-        &tb_cfg,
-        plan,
-        profile,
-        machine,
-        u64::from(rep),
-        rng::derive_seed(cell.seed, &format!("session.{}", cell.label())) ^ u64::from(rep),
-    );
-    tb.run();
-    if !tb.session().result().completed {
+    let (cfg, specs) = rep_setup(cell, rep, plan, profile);
+    let mut sc = Scenario::build(&cfg, specs, u64::from(rep));
+    sc.run();
+    let session = sc.session(0);
+    if !session.result().completed {
         return Err(RunError::Match(MatchError::ResponseNotFound));
     }
-    let rounds = tb.session().result().rounds.clone();
-    let capture = tb.engine.tap(tb.client_tap);
-    let mut out = Vec::new();
-    for r in rounds {
-        let (tn_s, tn_last) = match_bulk_round(capture, cell.method, r.round, u64::from(rep), n)?;
-        out.push(BulkMeasurement {
-            round: r.round,
-            bytes: n,
-            browser_ms: r.browser_rtt_ms(),
-            wire_ms: tn_last.signed_millis_since(tn_s),
-        });
-    }
-    Ok(out)
+    let capture = sc.engine.tap(sc.client_taps[0]);
+    session
+        .result()
+        .rounds
+        .iter()
+        .map(|r| {
+            let (tn_s, tn_last) =
+                match_bulk_round(capture, cell.method, r.round, u64::from(rep), n)?;
+            Ok(BulkMeasurement {
+                round: r.round,
+                bytes: n,
+                browser_ms: r.browser_rtt_ms(),
+                wire_ms: tn_last.signed_millis_since(tn_s),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

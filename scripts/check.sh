@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo health gate: the tier-1 acceptance commands plus lint and docs.
 #
-#   scripts/check.sh            # fmt + build + test + parity + clippy + docs + smoke
+#   scripts/check.sh            # fmt + build + test + parity + perfbench
+#                               # + clippy + docs + smoke
 #   scripts/check.sh --fast     # skip the release build (debug test run only)
 #   scripts/check.sh --quick    # skip the bench-sweep smoke steps
 #   scripts/check.sh --bench    # also run the engine bench (quick mode),
@@ -44,10 +45,11 @@ cargo test -q --test trace_parity
 echo "==> cargo test -q --test impairment"
 cargo test -q --test impairment
 
-# The multi-client scenario layer's guarantees: the N = 1 scenario is
-# byte-identical to the legacy testbed path, per-session results are
-# keyed by id (not insertion order), and contended cells keep the
-# executor's serial/parallel bit parity.
+# The multi-client scenario layer's guarantees: a hand-built one-session
+# scenario is byte-identical to the runner's one-client repetition (on
+# the paper's link and under a server-link rate override), per-session
+# results are keyed by id (not insertion order), and contended cells
+# keep the executor's serial/parallel bit parity.
 echo "==> cargo test -q --test scenario_parity"
 cargo test -q --test scenario_parity
 
@@ -81,6 +83,13 @@ cargo test -q --test webrtc_parity
 # battery keep the executor's serial/parallel bit parity.
 echo "==> cargo test -q --test dynamics_parity"
 cargo test -q --test dynamics_parity
+
+# The benchmark's self-test: all four workloads at reduced size, their
+# output checks, and a replay of every repetition through the public
+# layer APIs asserted equal, rep by rep, to `run_rep_traced` and
+# `run_bulk_rep`. Built in the benchmark's own target directory.
+echo "==> perfbench self-test (replay parity on all four workloads)"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -85,11 +85,14 @@ fn invalid_input_from_builders() {
         zero.unwrap_err(),
         RunError::InvalidInput("reps must be >= 1")
     );
-    let tb_err = match Testbed::builder().build() {
-        Ok(_) => panic!("empty testbed builder must not validate"),
+    let sc_err = match Scenario::builder().build() {
+        Ok(_) => panic!("empty scenario builder must not validate"),
         Err(e) => e,
     };
-    assert_eq!(tb_err, RunError::InvalidInput("a probe plan is required"));
+    assert_eq!(
+        sc_err,
+        RunError::InvalidInput("a scenario needs at least one session")
+    );
 }
 
 #[test]

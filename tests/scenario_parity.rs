@@ -1,9 +1,11 @@
 //! Tier-1 guarantees of the multi-client scenario layer:
 //!
-//! 1. **N = 1 parity** — a one-session [`Scenario`] built through the
-//!    public API reproduces the legacy single-client runner path byte
-//!    for byte: same captures, same measurements, same trace, same Δd
-//!    attribution. The testbed of Figure 2 *is* the N = 1 scenario.
+//! 1. **N = 1 parity** — a one-session [`Scenario`] built by hand
+//!    through the public API reproduces the runner's one-client
+//!    repetition byte for byte: same captures, same measurements, same
+//!    trace, same Δd attribution — on the paper's link and on a
+//!    narrowed server link. The testbed of Figure 2 *is* the N = 1
+//!    scenario.
 //! 2. **Insertion-order invariance** — per-session results are keyed by
 //!    session id, never by the order the caller pushed the specs.
 //! 3. **Scheduler parity** — multi-client cells are bit-identical
@@ -16,11 +18,16 @@ use bnm::core::attribution;
 use bnm::core::matching::ParsedCapture;
 use bnm::core::testbed::TestbedConfig;
 use bnm::prelude::*;
+use bnm::sim::link::LinkSpec;
 use bnm::sim::rng;
 use bnm::sim::time::SimDuration;
 use bnm::timeapi::MachineTimer;
 
-fn cell(clients: u32, reps: u32, trace: bool) -> ExperimentCell {
+fn cell(clients: u32, rate_bps: Option<u64>, reps: u32, trace: bool) -> ExperimentCell {
+    let contention = match rate_bps {
+        Some(rate) => ContentionSpec::clients(clients).with_server_link_rate(rate),
+        None => ContentionSpec::clients(clients),
+    };
     let b = ExperimentCell::builder(
         MethodId::XhrGet,
         RuntimeSel::Browser(BrowserKind::Chrome),
@@ -28,26 +35,33 @@ fn cell(clients: u32, reps: u32, trace: bool) -> ExperimentCell {
     )
     .reps(reps)
     .seed(0xB32B_5CEA)
-    .contention(ContentionSpec::clients(clients));
+    .contention(contention);
     if trace { b.trace(true) } else { b }.build().unwrap()
 }
 
 /// Replicate the runner's per-rep derivations and build the same session
-/// as a hand-rolled one-element `Scenario`. Any drift between this and
+/// as a hand-rolled one-element `Scenario`, its server access link
+/// narrowed to `rate_bps` when given. Any drift between this and
 /// `ExperimentRunner`'s own construction shows up as a parity failure
 /// below.
-fn scenario_for_rep(c: &ExperimentCell, rep: u32, trace: Trace) -> Scenario {
+fn scenario_for_rep(c: &ExperimentCell, rate_bps: Option<u64>, rep: u32, trace: Trace) -> Scenario {
     let machine_seed = rng::derive_seed(c.seed, &format!("machine.{}", c.label()));
     let machine = MachineTimer::new(c.os, machine_seed)
         .at_offset(SimDuration::from_secs(4).saturating_mul(u64::from(rep)));
     let session_seed = rng::derive_seed(c.seed, &format!("session.{}", c.label()));
-    let cfg = TestbedConfig {
+    let mut cfg = TestbedConfig {
         server_delay: c.server_delay,
         capture_noise_ns: c.capture_noise_ns,
         seed: rng::derive_seed(c.seed, "capture"),
         impairment: c.impairment,
         ..TestbedConfig::default()
     };
+    if let Some(rate) = rate_bps {
+        cfg.server_link = LinkSpec {
+            rate_bps: rate,
+            ..LinkSpec::fast_ethernet()
+        };
+    }
     let profile = bnm::browser::BrowserProfile::build(BrowserKind::Chrome, c.os).unwrap();
     Scenario::build_traced(
         &cfg,
@@ -63,15 +77,23 @@ fn scenario_for_rep(c: &ExperimentCell, rep: u32, trace: Trace) -> Scenario {
     )
 }
 
-/// (1) The one-session scenario reproduces the legacy runner rep —
-/// captures, measurements, trace and attribution all byte-identical.
+/// (1) The one-session scenario reproduces the runner's rep — captures,
+/// measurements, trace and attribution all byte-identical — on the
+/// paper's link and on the 0.4 Mb/s link the `contend` sweep runs, so a
+/// one-client cell runs on the link its rate override names.
 #[test]
 fn one_session_scenario_matches_the_legacy_testbed_path() {
-    let c = cell(1, 3, true);
+    for rate_bps in [None, Some(400_000)] {
+        one_session_parity(rate_bps);
+    }
+}
+
+fn one_session_parity(rate_bps: Option<u64>) {
+    let c = cell(1, rate_bps, 3, true);
     for rep in 0..c.reps {
         let legacy = ExperimentRunner::run_rep_traced(&c, rep).unwrap();
 
-        let mut sc = scenario_for_rep(&c, rep, Trace::enabled());
+        let mut sc = scenario_for_rep(&c, rate_bps, rep, Trace::enabled());
         sc.run();
         assert!(sc.session(0).result().completed);
 
@@ -90,18 +112,24 @@ fn one_session_scenario_matches_the_legacy_testbed_path() {
                 wire,
             });
         }
-        assert_eq!(measurements, legacy.measurements, "rep {rep} measurements");
+        assert_eq!(
+            measurements, legacy.measurements,
+            "rate {rate_bps:?} rep {rep} measurements"
+        );
 
         let trace = sc.take_trace().unwrap();
         let legacy_trace = legacy.trace.unwrap();
-        assert_eq!(trace, legacy_trace, "rep {rep} trace data");
+        assert_eq!(
+            trace, legacy_trace,
+            "rate {rate_bps:?} rep {rep} trace data"
+        );
         assert_eq!(trace.to_json(), legacy_trace.to_json());
 
         let attr = attribution::attribute(&trace, &measurements, rep).unwrap();
         assert_eq!(
             attribution::to_json(&attr),
             attribution::to_json(&legacy.attribution),
-            "rep {rep} attribution"
+            "rate {rate_bps:?} rep {rep} attribution"
         );
     }
 }
@@ -110,7 +138,7 @@ fn one_session_scenario_matches_the_legacy_testbed_path() {
 /// `clients(1)` is byte-identical to one that never mentions it.
 #[test]
 fn clients_one_is_byte_identical_to_the_plain_cell() {
-    let plain = cell(1, 4, false);
+    let plain = cell(1, None, 4, false);
     let spelled = plain.clone().with_contention(ContentionSpec::clients(1));
     let a = ExperimentRunner::try_run(&plain).unwrap();
     let b = ExperimentRunner::try_run(&spelled).unwrap();
@@ -170,7 +198,7 @@ fn per_session_results_are_invariant_to_insertion_order() {
 /// serial and work-stealing runs agree on every session's samples.
 #[test]
 fn contended_cells_are_bit_identical_across_schedulers() {
-    let cells = vec![cell(3, 3, false)];
+    let cells = vec![cell(3, None, 3, false)];
     let serial = Executor::serial().run(&cells);
     let parallel = Executor::with_workers(4).run(&cells);
     let (s, p) = (serial[0].as_ref().unwrap(), parallel[0].as_ref().unwrap());

@@ -10,19 +10,17 @@ use bnm_bench::cli::BenchArgs;
 use bnm_bench::heading;
 use bnm_browser::BrowserKind;
 use bnm_core::baseline::ping_baseline;
-use bnm_core::throughput::run_bulk_rep;
-use bnm_core::{ExperimentCell, RuntimeSel};
+use bnm_core::sweep;
 use bnm_methods::MethodId;
 use bnm_stats::Summary;
 use bnm_time::OsKind;
 
 fn main() {
     let args = BenchArgs::parse();
-    let n_reps = args.reps.min(10); // bulk repetitions are heavier
-    let seed = args.seed;
+    let n = args.reps.min(10); // bulk repetitions are heavier
 
     heading("Extension: ICMP ping baseline (§6)");
-    let pings = ping_baseline(10, bnm_sim::time::SimDuration::from_millis(50), seed);
+    let pings = ping_baseline(10, bnm_sim::time::SimDuration::from_millis(50), args.seed);
     let s = Summary::of(&pings);
     println!(
         "ping RTT over the testbed: median {:.3} ms (min {:.3}, max {:.3}) — the ground truth\n\
@@ -31,68 +29,25 @@ fn main() {
     );
 
     heading("Extension: throughput-estimate accuracy by method and size");
-    println!(
-        "{:<22} {:>9} {:>12} {:>12} {:>10}",
-        "method", "size", "wire Mbps", "meas Mbps", "underest"
-    );
-    let mut csv =
-        String::from("method,browser,size_bytes,round,wire_mbps,browser_mbps,underestimation\n");
-    for method in [
+    let targets = [
         MethodId::XhrGet,
         MethodId::FlashGet,
         MethodId::JavaGet,
         MethodId::WebSocket,
-    ] {
-        for size in [16 * 1024usize, 128 * 1024, 1024 * 1024] {
-            let cell = ExperimentCell::paper(
-                method,
-                RuntimeSel::Browser(BrowserKind::Chrome),
-                OsKind::Ubuntu1204,
-            )
-            .with_seed(seed);
-            let mut wire = Vec::new();
-            let mut meas = Vec::new();
-            for rep in 0..n_reps {
-                let Ok(ms) = run_bulk_rep(&cell, rep, size) else {
-                    continue;
-                };
-                for m in &ms {
-                    // Round 2 is the reuse round speedtests resemble.
-                    if m.round == 2 {
-                        wire.push(m.wire_bps() / 1e6);
-                        meas.push(m.browser_bps() / 1e6);
-                    }
-                    csv.push_str(&format!(
-                        "{},{},{},{},{:.4},{:.4},{:.4}\n",
-                        method.label(),
-                        "C (U)",
-                        size,
-                        m.round,
-                        m.wire_bps() / 1e6,
-                        m.browser_bps() / 1e6,
-                        m.underestimation()
-                    ));
-                }
-            }
-            if wire.is_empty() {
-                continue;
-            }
-            let w = Summary::of(&wire).median;
-            let b = Summary::of(&meas).median;
-            println!(
-                "{:<22} {:>6} KB {:>12.2} {:>12.2} {:>9.1}%",
-                method.display_name(),
-                size / 1024,
-                w,
-                b,
-                (1.0 - b / w) * 100.0
-            );
-        }
-    }
-    println!(
-        "\nReading: the overhead is a fixed per-transfer tax, so it dominates small\n\
-         transfers and dilutes on large ones — and Flash taxes every size hardest (§2.2)."
-    );
-    let path = args.save_artifact("tput.csv", &csv);
-    println!("Artifact written to {}", path.display());
+    ]
+    .map(|m| args.target((m, BrowserKind::Chrome, OsKind::Ubuntu1204), n));
+    let sizes = [16 * 1024, 128 * 1024, 1024 * 1024];
+    let table = sweep::tput(&targets, &sizes).map(|mut table| {
+        table.title = format!(
+            "Throughput-estimate accuracy, Chrome/Ubuntu ({n} reps, seed {:#x})",
+            args.seed
+        );
+        table.note(
+            "Reading: the overhead is a fixed per-transfer tax, so it dominates small \
+             transfers and dilutes on large ones — and Flash taxes every size hardest (§2.2). \
+             Round 2 reuses the connection, as speedtests do.",
+        );
+        table
+    });
+    args.publish("tput.csv", table);
 }

@@ -1,45 +1,33 @@
-//! Shared command-line parsing for the regenerator binaries.
+//! The shared command line of the regenerator binaries.
 //!
-//! Every binary understands the same four flags, each falling back to
-//! the historical environment variable, then to the paper's default:
+//! Every binary understands the same four flags, checked by the strict
+//! parser in [`bnm_core::cli`] (bad input exits 2 with usage):
 //!
 //! ```text
-//! --seed S                 master seed        (env BNM_SEED,    default 0xB32B_2013)
-//! --reps N                 repetitions/cell   (env BNM_REPS,    default 50)
-//! --results DIR            artifact directory (env BNM_RESULTS, default results/)
-//! --format text|json|csv   artifact format    (default csv)
+//! --seed S                 master seed, decimal or 0x-hex (default 0xB32B_2013)
+//! --reps N                 repetitions/cell, >= 1        (default 50)
+//! --results DIR            artifact directory            (default results/)
+//! --format text|json|csv   artifact format               (default text)
 //! ```
 //!
 //! `--format` governs [`BenchArgs::save_artifact`]: `json` converts the
-//! CSV table into an array of objects before writing; `text` and `csv`
-//! write the CSV as-is (stdout is already the human-readable view).
+//! CSV table into an array of objects before writing and switches
+//! stdout to JSON too; `text` and `csv` write the CSV as-is and keep
+//! stdout human-readable.
 
 use std::fs;
 use std::path::PathBuf;
 
-/// Artifact format selected with `--format`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OutputFormat {
-    /// Human-oriented: artifacts stay CSV, stdout is the report.
-    Text,
-    /// Artifacts converted to JSON (array of objects).
-    Json,
-    /// Plain CSV artifacts (the default).
-    #[default]
-    Csv,
-}
+use bnm_browser::BrowserKind;
+use bnm_core::cli::{FlagError, Flags};
+use bnm_core::{CellBuilder, ExperimentCell, Render, ReportFormat, RunError, RuntimeSel, Table};
+use bnm_methods::MethodId;
+use bnm_time::OsKind;
 
-impl OutputFormat {
-    /// The core rendering backend this artifact format maps onto.
-    /// `Text` and `Csv` both keep stdout human-readable (the CSV lives
-    /// in the artifact file); `Json` switches stdout to JSON too.
-    pub fn report_format(self) -> bnm_core::report::ReportFormat {
-        match self {
-            OutputFormat::Json => bnm_core::report::ReportFormat::Json,
-            OutputFormat::Text | OutputFormat::Csv => bnm_core::report::ReportFormat::Text,
-        }
-    }
-}
+use crate::PAPER_REPS;
+
+/// The flags every regenerator accepts.
+const SHARED: &str = "seed reps results format";
 
 /// Parsed arguments shared by every regenerator binary.
 #[derive(Debug, Clone)]
@@ -51,66 +39,71 @@ pub struct BenchArgs {
     /// Directory artifacts are written into (created on first save).
     pub results_dir: PathBuf,
     /// Artifact format.
-    pub format: OutputFormat,
-}
-
-impl Default for BenchArgs {
-    fn default() -> Self {
-        BenchArgs {
-            seed: crate::master_seed(),
-            reps: crate::reps(),
-            results_dir: PathBuf::from(
-                std::env::var("BNM_RESULTS").unwrap_or_else(|_| "results".to_string()),
-            ),
-            format: OutputFormat::Csv,
-        }
-    }
+    pub format: ReportFormat,
+    /// Every checked flag, including a binary's own extras.
+    pub flags: Flags,
 }
 
 impl BenchArgs {
     /// Parse the process arguments, exiting with usage on a bad flag.
     pub fn parse() -> BenchArgs {
-        match Self::from_args(std::env::args().skip(1)) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!(
-                    "{e}\nusage: [--seed S] [--reps N] [--results DIR] [--format text|json|csv]"
-                );
-                std::process::exit(2);
-            }
-        }
+        Self::parse_with("")
+    }
+
+    /// [`BenchArgs::parse`] for a binary that also accepts the
+    /// space-separated `extra` flags (see [`bnm_core::cli`]).
+    pub fn parse_with(extra: &str) -> BenchArgs {
+        Self::from_args(std::env::args().skip(1), extra).unwrap_or_else(|e| {
+            let flags = bnm_core::cli::synopsis(&format!("{SHARED} {extra}"));
+            eprintln!("{e}\nusage: {}", flags.join(" "));
+            std::process::exit(2);
+        })
     }
 
     /// Parse from an explicit argument list (testable core of
-    /// [`BenchArgs::parse`]). Environment fallbacks still apply for
-    /// flags that are absent.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<BenchArgs, String> {
-        let mut out = BenchArgs::default();
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            let mut take = || it.next().ok_or_else(|| format!("{a} needs a value"));
-            match a.as_str() {
-                "--seed" => {
-                    let v = take()?;
-                    out.seed = parse_seed(&v).ok_or_else(|| format!("bad seed: {v}"))?;
-                }
-                "--reps" => {
-                    let v = take()?;
-                    out.reps = v.parse().map_err(|_| format!("bad reps: {v}"))?;
-                }
-                "--results" => out.results_dir = PathBuf::from(take()?),
-                "--format" => {
-                    out.format = match take()?.as_str() {
-                        "text" => OutputFormat::Text,
-                        "json" => OutputFormat::Json,
-                        "csv" => OutputFormat::Csv,
-                        other => return Err(format!("bad format: {other}")),
-                    }
-                }
-                other => return Err(format!("unknown flag: {other}")),
-            }
+    /// [`BenchArgs::parse_with`]).
+    pub fn from_args<I>(args: I, extra: &str) -> Result<BenchArgs, FlagError>
+    where
+        I: IntoIterator,
+        I::Item: Into<String>,
+    {
+        let flags = Flags::parse(args, &format!("{SHARED} {extra}"))?;
+        Ok(BenchArgs {
+            seed: flags.seed(),
+            reps: flags.reps(PAPER_REPS),
+            results_dir: PathBuf::from(flags.text("results").unwrap_or("results")),
+            format: flags.format(),
+            flags,
+        })
+    }
+
+    /// The format stdout reports render in: JSON under `--format json`,
+    /// aligned text otherwise (the CSV lives in the artifact file).
+    pub fn stdout_format(&self) -> ReportFormat {
+        match self.format {
+            ReportFormat::Json => ReportFormat::Json,
+            _ => ReportFormat::Text,
         }
-        Ok(out)
+    }
+
+    /// A target cell for a sweep: a method on a browser and OS, at
+    /// `reps` repetitions under the master seed.
+    pub fn target(&self, (m, b, os): (MethodId, BrowserKind, OsKind), reps: u32) -> CellBuilder {
+        ExperimentCell::builder(m, RuntimeSel::Browser(b), os)
+            .reps(reps)
+            .seed(self.seed)
+    }
+
+    /// Print a sweep's table and save it as the artifact `name`; a
+    /// sweep that failed is reported and exits 1 without an artifact.
+    pub fn publish(&self, name: &str, table: Result<Table, RunError>) {
+        let table = table.unwrap_or_else(|e| {
+            eprintln!("sweep failed: {e}");
+            std::process::exit(1);
+        });
+        println!("{}", table.render(self.stdout_format()));
+        let path = self.save_artifact(name, &table.to_csv());
+        println!("Artifact written to {}", path.display());
     }
 
     /// Write a CSV artifact under the results directory, honouring the
@@ -120,7 +113,7 @@ impl BenchArgs {
     pub fn save_artifact(&self, name: &str, csv: &str) -> PathBuf {
         fs::create_dir_all(&self.results_dir).expect("create results dir");
         let (path, contents) = match self.format {
-            OutputFormat::Json => {
+            ReportFormat::Json => {
                 let json_name = match name.strip_suffix(".csv") {
                     Some(stem) => format!("{stem}.json"),
                     None => format!("{name}.json"),
@@ -131,14 +124,6 @@ impl BenchArgs {
         };
         fs::write(&path, contents).expect("write artifact");
         path
-    }
-}
-
-fn parse_seed(v: &str) -> Option<u64> {
-    if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        u64::from_str_radix(&hex.replace('_', ""), 16).ok()
-    } else {
-        v.parse().ok()
     }
 }
 
@@ -209,40 +194,29 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<BenchArgs, String> {
-        BenchArgs::from_args(args.iter().map(|s| s.to_string()))
+    fn parse(args: &str) -> BenchArgs {
+        BenchArgs::from_args(args.split_whitespace(), "").unwrap()
     }
 
     #[test]
-    fn flags_override_defaults() {
-        let a = parse(&[
-            "--seed",
-            "0xAB",
-            "--reps",
-            "7",
-            "--results",
-            "/tmp/r",
-            "--format",
-            "json",
-        ])
-        .unwrap();
-        assert_eq!(a.seed, 0xAB);
-        assert_eq!(a.reps, 7);
+    fn shared_flags_and_their_defaults() {
+        let a = parse("--seed 0xAB --reps 7 --results /tmp/r --format json");
+        assert_eq!((a.seed, a.reps, a.format), (0xAB, 7, ReportFormat::Json));
         assert_eq!(a.results_dir, PathBuf::from("/tmp/r"));
-        assert_eq!(a.format, OutputFormat::Json);
-        assert_eq!(parse(&["--seed", "12"]).unwrap().seed, 12);
+        assert_eq!(a.stdout_format(), ReportFormat::Json);
+        let d = parse("");
+        assert_eq!((d.seed, d.reps), (bnm_core::cli::DEFAULT_SEED, PAPER_REPS));
+        assert_eq!(d.results_dir, PathBuf::from("results"));
+        assert_eq!(parse("--format csv").stdout_format(), ReportFormat::Text);
     }
 
     #[test]
-    fn bad_flags_are_reported() {
-        assert!(parse(&["--format", "xml"])
-            .unwrap_err()
-            .contains("bad format"));
-        assert!(parse(&["--reps"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--frobnicate"])
-            .unwrap_err()
-            .contains("unknown flag"));
-        assert!(parse(&["--seed", "zap"]).unwrap_err().contains("bad seed"));
+    fn extras_are_accepted_only_where_declared() {
+        let rate = ["--rate-mbps", "0.8"];
+        assert!(BenchArgs::from_args(rate, "").is_err());
+        let a = BenchArgs::from_args(rate, "rate-mbps").unwrap();
+        assert_eq!(a.flags.num("rate-mbps"), Some(0.8));
+        assert!(BenchArgs::from_args(["--reps", "0"], "").is_err());
     }
 
     #[test]
@@ -267,12 +241,12 @@ mod tests {
     fn save_artifact_honours_format() {
         let dir = std::env::temp_dir().join("bnm_cli_test");
         let _ = fs::remove_dir_all(&dir);
-        let mut a = parse(&[]).unwrap();
+        let mut a = parse("");
         a.results_dir = dir.clone();
-        a.format = OutputFormat::Csv;
+        a.format = ReportFormat::Csv;
         let p = a.save_artifact("t.csv", "a,b\n1,2\n");
         assert!(p.to_string_lossy().ends_with("t.csv"));
-        a.format = OutputFormat::Json;
+        a.format = ReportFormat::Json;
         let p = a.save_artifact("t.csv", "a,b\n1,2\n");
         assert!(p.to_string_lossy().ends_with("t.json"));
         assert_eq!(fs::read_to_string(&p).unwrap(), "[{\"a\":1,\"b\":2}]");

@@ -1,6 +1,6 @@
 //! # bnm-bench — experiment regenerators and benches
 //!
-//! One binary per table/figure of the paper:
+//! One binary per table/figure of the paper, plus the extension sweeps:
 //!
 //! | binary            | regenerates                                    |
 //! |-------------------|------------------------------------------------|
@@ -11,51 +11,32 @@
 //! | `fig4`            | Figure 4 — Java TCP Δd CDFs (browsers + appletviewer) |
 //! | `fig5`            | Figure 5 — timestamp-granularity probe         |
 //! | `table4`          | Table 4 — Java methods with `System.nanoTime()`|
-//! | `all_experiments` | everything above + CSV dumps under `results/`  |
+//! | `tput`            | extension — throughput accuracy + ping baseline |
+//! | `sweep`           | extension — Δd vs server delay                 |
+//! | `impair`          | extension — Δd vs loss, four methods           |
+//! | `webrtc`          | extension — WebRTC vs WebSocket under loss     |
+//! | `contend`         | extension — Δd vs concurrent clients, 1 to 1,000 |
+//! | `all_experiments` | Tables 1–4, Figures 3–5, `tput`, `sweep` and the appraisal extensions |
 //!
 //! Run with `cargo run --release -p bnm-bench --bin fig3`.
 //!
 //! Every binary accepts the shared flags of [`cli::BenchArgs`]
-//! (`--seed`, `--reps`, `--results`, `--format text|json|csv`).
+//! (`--seed`, `--reps`, `--results`, `--format text|json|csv`), checked
+//! by the strict parser in [`bnm_core::cli`]. The `tput`, `impair`,
+//! `webrtc` and `contend` binaries print and save a table built by
+//! [`bnm_core::sweep`], the same sweeps the `bnm` subcommands run.
 
 #![deny(deprecated)]
 
 pub mod cli;
 pub mod meta;
 
-use std::fs;
 use std::io::IsTerminal;
-use std::path::{Path, PathBuf};
 
-use bnm_core::{CellResult, Executor, ExperimentCell};
+use bnm_core::{CellResult, Executor, ExperimentCell, Impairment};
 
 /// Repetitions per cell: the paper's 50.
 pub const PAPER_REPS: u32 = 50;
-
-/// The master seed all regenerators share (override with `BNM_SEED`).
-pub fn master_seed() -> u64 {
-    std::env::var("BNM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB32B_2013)
-}
-
-/// Repetitions to run (override with `BNM_REPS`, e.g. for quick smoke
-/// runs).
-pub fn reps() -> u32 {
-    std::env::var("BNM_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(PAPER_REPS)
-}
-
-/// Where CSV artifacts go.
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("BNM_RESULTS").unwrap_or_else(|_| "results".to_string());
-    let path = PathBuf::from(dir);
-    fs::create_dir_all(&path).expect("create results dir");
-    path
-}
 
 /// Run a batch of cells on `bnm_core`'s work-stealing executor.
 ///
@@ -86,11 +67,10 @@ pub fn run_cells(cells: Vec<ExperimentCell>) -> Vec<(ExperimentCell, CellResult)
         .collect()
 }
 
-/// Write a string artifact into the results directory.
-pub fn save(name: &str, contents: &str) -> PathBuf {
-    let path = results_dir().join(name);
-    fs::write(&path, contents).expect("write artifact");
-    path
+/// The loss ladder the `impair` and `webrtc` sweeps share: symmetric
+/// loss at 0, 0.5, 1, 2 and 5%.
+pub fn loss_ladder() -> [Impairment; 5] {
+    [0.0, 0.5, 1.0, 2.0, 5.0].map(|pct| Impairment::loss(pct / 100.0))
 }
 
 /// Print a horizontal rule + heading.
@@ -103,12 +83,6 @@ pub fn heading(title: &str) {
 /// Format a median table cell.
 pub fn fmt_med(v: f64) -> String {
     format!("{v:8.2}")
-}
-
-/// Check that a path exists relative to the repo (diagnostics for the
-/// all_experiments binary).
-pub fn exists(p: &Path) -> bool {
-    p.exists()
 }
 
 #[cfg(test)]
@@ -174,13 +148,5 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0.method, MethodId::XhrGet);
         assert_eq!(out[0].1.d1.len(), 2);
-    }
-
-    #[test]
-    fn defaults_without_env() {
-        // (Environment overrides are tested manually; here just the
-        // defaults' sanity.)
-        assert_eq!(PAPER_REPS, 50);
-        assert!(master_seed() != 0);
     }
 }

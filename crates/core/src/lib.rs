@@ -36,6 +36,7 @@ pub mod attribution;
 pub mod baseline;
 pub mod battery;
 pub mod calibration;
+pub mod cli;
 pub mod config;
 pub mod delta;
 pub mod error;

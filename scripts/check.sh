@@ -131,6 +131,28 @@ if [[ $quick -eq 0 && $fast -eq 0 ]]; then
       exit 1
     fi
   done
+
+  # CLI input errors: a bad flag is a typed error that exits 2 before
+  # anything runs (never a silent default), and the bench impair sweep
+  # built on the shared sweep writes its whole grid.
+  echo "==> CLI input errors: bad flags exit 2; bench impair writes its grid"
+  for args in "impair --loss abc" "contend --rep 2"; do
+    code=0
+    # shellcheck disable=SC2086 # the flags are meant to split
+    ./target/release/bnm $args >/dev/null 2>&1 || code=$?
+    if [[ $code -ne 2 ]]; then
+      echo "bnm $args exited $code, expected 2" >&2
+      exit 1
+    fi
+  done
+  impair_dir=$(mktemp -d)
+  cargo run --release -q -p bnm-bench --bin impair -- --reps 1 --results "$impair_dir" >/dev/null
+  rows=$(($(wc -l < "$impair_dir/impair.csv") - 1))
+  rm -rf "$impair_dir"
+  if [[ $rows -lt 20 ]]; then
+    echo "bench impair wrote $rows rows, expected >= 20" >&2
+    exit 1
+  fi
 fi
 
 # Benchmarks, quick mode: one timed crowd run per configuration —

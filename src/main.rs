@@ -1,18 +1,10 @@
 //! `bnm` — command-line front end to the appraisal library.
 //!
-//! ```text
-//! bnm list                          the methods and their taxonomy
-//! bnm appraise [options]           run one experiment cell and appraise it
-//! bnm trace [options]              run traced and attribute Δd to components
-//! bnm impair [options]             run a cell on an impaired network
-//! bnm contend [options]            Δd vs concurrent clients on a shared link
-//! bnm serve [options]              continuous monitoring with periodic snapshots
-//! bnm probe [--os windows|ubuntu]  the Figure 5 granularity probe
-//! bnm ping                          ICMP baseline over the testbed
-//! bnm tput [options]               throughput-estimate accuracy
-//! bnm recommend [constraints]      §5 method recommendations
-//! bnm battery [options]            the full scored appraisal battery
-//! ```
+//! Each subcommand in [`COMMANDS`] declares the flags it accepts; the
+//! shared parser `bnm_core::cli` checks them before anything runs (bad
+//! input exits 2 with usage, a failed run exits 1). The sweep
+//! subcommands (`impair`, `contend`, `tput`) print tables built by
+//! `bnm_core::sweep`, the same sweeps the `bnm-bench` binaries run.
 //!
 //! Every data-producing subcommand shares one `--format {text,json,csv}`
 //! code path: it builds a [`Render`]able (`Table`, `ReportSnapshot` or
@@ -20,91 +12,62 @@
 
 #![deny(deprecated)]
 
-use std::collections::HashMap;
-
 use bnm::browser::BrowserKind;
 use bnm::core::appraisal::Appraisal;
 use bnm::core::baseline::ping_baseline;
+use bnm::core::cli::{self, Flags};
 use bnm::core::recommend::{self, Constraints};
 use bnm::core::report::{Table, TraceReport, Value};
-use bnm::core::throughput::run_bulk_rep;
+use bnm::core::sweep;
 use bnm::core::{
-    ContentionSpec, DistSummary, ExperimentCell, ExperimentRunner, FaultSpec, Impairment, Monitor,
-    MonitorConfig, Render, ReportFormat, RuntimeSel, StreamingSpec,
+    CellBuilder, ContentionSpec, ExperimentCell, ExperimentRunner, FaultSpec, Impairment, Monitor,
+    MonitorConfig, Render, ReportFormat, RunError, RuntimeSel, StreamingSpec,
 };
 use bnm::methods::{table1_rows, MethodId};
 use bnm::sim::time::{SimDuration, SimTime};
 use bnm::stats::Summary;
 use bnm::timeapi::{make_api, probe_granularity, MachineTimer, OsKind, TimingApiKind};
 
-fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
-    let mut positional = Vec::new();
-    let mut flags = HashMap::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().unwrap().clone(),
-                _ => "true".to_string(),
-            };
-            flags.insert(name.to_string(), value);
-        } else {
-            positional.push(a.clone());
-        }
-    }
-    (positional, flags)
-}
+/// What a subcommand runs, once its flags have passed the shared parser.
+type Command = fn(&Flags) -> Result<(), RunError>;
 
-fn method_by_label(label: &str) -> Option<MethodId> {
-    // EXTENDED = the Table 1 eleven plus post-paper additions (webrtc).
-    MethodId::EXTENDED.into_iter().find(|m| m.label() == label)
-}
-
-fn browser_by_name(name: &str) -> Option<BrowserKind> {
-    BrowserKind::ALL
-        .into_iter()
-        .find(|b| b.name().eq_ignore_ascii_case(name))
-}
-
-fn os_by_name(name: &str) -> Option<OsKind> {
-    match name.to_ascii_lowercase().as_str() {
-        "windows" | "win" | "w" => Some(OsKind::Windows7),
-        "ubuntu" | "linux" | "u" => Some(OsKind::Ubuntu1204),
-        _ => None,
-    }
-}
+/// Every subcommand: its name, the flags it accepts, what it runs and a
+/// one-line summary for the usage text.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &str, Command, &str)] = &[
+    ("list", "", cmd_list, "show the Table 1 method taxonomy"),
+    ("appraise", "method browser os reps seed nanotime", cmd_appraise,
+        "run one experiment cell and appraise it"),
+    ("trace", "method browser os reps seed format events", cmd_trace,
+        "Δd attribution per round"),
+    ("impair", "method browser os reps seed loss corrupt duplicate jitter format", cmd_impair,
+        "Δd on an impaired network"),
+    ("contend", "method browser os clients reps seed rate-mbps format", cmd_contend,
+        "Δd vs concurrent clients sharing one server link"),
+    ("serve", "method browser os clients rate-mbps loss seed duration every period format",
+        cmd_serve, "continuous monitoring: windowed snapshots"),
+    ("webrtc", "browser os reps seed loss jitter format", cmd_webrtc,
+        "WebRTC data channel: per-probe OWD, RFC 3550 jitter, loss and reordering"),
+    ("probe", "os", cmd_probe, "timestamp-granularity probe (Figure 5)"),
+    ("ping", "", cmd_ping, "ICMP baseline over the testbed"),
+    ("tput", "method size format", cmd_tput, "throughput-estimate accuracy"),
+    ("recommend", "mobile no-plugins no-ports strict-origin format", cmd_recommend,
+        "§5 method recommendations"),
+    ("battery", "quick reps seed serial format", cmd_battery,
+        "the full scored appraisal battery, ranked per scenario"),
+];
 
 fn usage() -> ! {
+    eprintln!("usage: bnm <command> [options]\ncommands:");
+    for (name, accepts, _, summary) in COMMANDS {
+        eprintln!("  {name:<10} {summary}");
+        for flags in cli::synopsis(accepts).chunks(5) {
+            eprintln!("{:13}{}", "", flags.join(" "));
+        }
+    }
     eprintln!(
-        "usage: bnm <command> [options]\n\
-         commands:\n  \
-           list                                  show the Table 1 method taxonomy\n  \
-           appraise [--method L] [--browser B] [--os O] [--reps N] [--seed S] [--nanotime]\n  \
-           trace [--method L] [--browser B] [--os O] [--reps N] [--seed S]\n        \
-                 [--format text|json|csv] [--events]   Δd attribution per round\n  \
-           impair [--method L] [--browser B] [--os O] [--reps N] [--seed S]\n        \
-                 [--loss P] [--corrupt P] [--duplicate P] [--jitter MS]\n        \
-                 [--format text|json|csv]     Δd on an impaired network (P in [0,1])\n  \
-           contend [--method L] [--browser B] [--os O] [--clients N] [--reps N]\n        \
-                 [--seed S] [--rate-mbps R] [--format text|json|csv]\n        \
-                 Δd vs concurrent clients sharing one server link (N in [1,4096])\n  \
-           serve [--method L] [--browser B] [--os O] [--clients N] [--rate-mbps R]\n        \
-                 [--loss P] [--seed S] [--duration SECS] [--every SECS] [--period MS]\n        \
-                 [--format text|json|csv]     continuous monitoring: windowed snapshots\n  \
-           webrtc [--browser B] [--os O] [--reps N] [--seed S] [--loss P] [--jitter MS]\n        \
-                 [--format text|json|csv]     WebRTC data channel: per-probe OWD,\n        \
-                 RFC 3550 jitter, loss and reordering from both taps\n  \
-           probe [--os O]                        timestamp-granularity probe (Figure 5)\n  \
-           ping                                  ICMP baseline over the testbed\n  \
-           tput [--method L] [--size BYTES] [--format text|json|csv]\n        \
-                 throughput-estimate accuracy\n  \
-           recommend [--mobile] [--no-plugins] [--no-ports] [--strict-origin]\n        \
-                 [--format text|json|csv]     §5 method recommendations\n  \
-           battery [--quick] [--reps N] [--seed S] [--serial]\n        \
-                 [--format text|json|csv]     run every method across the clean,\n        \
-                 impaired, contended, bufferbloat (drop-tail vs CoDel) and\n        \
-                 time-varying scenarios; rank by measured deployment score\n\
-         \nmethod labels: {}",
+        "\nP is a probability in [0,1]; N a count >= 1 (clients <= 4096); S a decimal or \
+         0x-hex seed.\nmethod labels: {}",
         MethodId::EXTENDED
             .iter()
             .map(|m| m.label())
@@ -112,14 +75,6 @@ fn usage() -> ! {
             .join(", ")
     );
     std::process::exit(2);
-}
-
-/// The one `--format` flag shared by every data-producing subcommand.
-fn parse_format(flags: &HashMap<String, String>) -> ReportFormat {
-    match flags.get("format") {
-        None => ReportFormat::Text,
-        Some(f) => f.parse().unwrap_or_else(|_| usage()),
-    }
 }
 
 /// Emit a renderable in the chosen format — text gets a trailing-newline
@@ -135,27 +90,54 @@ fn emit(r: &impl Render, fmt: ReportFormat) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
-    let (_, flags) = parse_flags(&args[1..]);
-
-    match cmd.as_str() {
-        "list" => cmd_list(),
-        "appraise" => cmd_appraise(&flags),
-        "trace" => cmd_trace(&flags),
-        "impair" => cmd_impair(&flags),
-        "contend" => cmd_contend(&flags),
-        "serve" => cmd_serve(&flags),
-        "webrtc" => cmd_webrtc(&flags),
-        "probe" => cmd_probe(&flags),
-        "ping" => cmd_ping(),
-        "tput" => cmd_tput(&flags),
-        "recommend" => cmd_recommend(&flags),
-        "battery" => cmd_battery(&flags),
-        _ => usage(),
+    let Some((cmd, rest)) = args.split_first() else {
+        usage()
+    };
+    let Some(&(_, accepts, run, _)) = COMMANDS.iter().find(|c| c.0 == cmd) else {
+        usage()
+    };
+    let flags = Flags::parse(rest, accepts).unwrap_or_else(|e| {
+        eprintln!("bnm {cmd}: {e}");
+        usage()
+    });
+    if let Err(e) = run(&flags) {
+        match e {
+            RunError::Unrunnable { .. } => eprintln!("bnm {cmd}: {e} (Table 2 feature matrix)"),
+            _ => eprintln!("bnm {cmd}: {e}"),
+        }
+        std::process::exit(1);
     }
 }
 
-fn cmd_list() {
+const CHROME_UBUNTU: (BrowserKind, OsKind) = (BrowserKind::Chrome, OsKind::Ubuntu1204);
+
+/// The cell a single-target subcommand starts from: `--method`,
+/// `--browser`, `--os`, `--reps` and `--seed` over per-command defaults.
+fn target(flags: &Flags, method: MethodId, on: (BrowserKind, OsKind), reps: u32) -> CellBuilder {
+    let runtime = RuntimeSel::Browser(flags.browser(on.0));
+    ExperimentCell::builder(flags.method(method), runtime, flags.os(on.1))
+        .reps(flags.reps(reps))
+        .seed(flags.seed())
+}
+
+/// `--loss`/`--corrupt`/`--duplicate` on both directions plus
+/// `--jitter` — all clean when absent.
+fn impairment(flags: &Flags) -> Impairment {
+    let p = |name| flags.num(name).unwrap_or(0.0);
+    let spec = FaultSpec {
+        drop_chance: p("loss"),
+        corrupt_chance: p("corrupt"),
+        duplicate_chance: p("duplicate"),
+        ..FaultSpec::CLEAN
+    };
+    Impairment {
+        up: spec,
+        down: spec,
+        jitter: SimDuration::from_millis_f64(p("jitter")),
+    }
+}
+
+fn cmd_list(_: &Flags) -> Result<(), RunError> {
     println!(
         "{:<12} {:<13} {:<12} {:<10} {:<11} metrics",
         "label", "approach", "technology", "method", "same-origin"
@@ -190,63 +172,23 @@ fn cmd_list() {
             m.metrics()
         );
     }
+    Ok(())
 }
 
-fn cmd_appraise(flags: &HashMap<String, String>) {
-    let method = flags
-        .get("method")
-        .map(|m| method_by_label(m).unwrap_or_else(|| usage()))
-        .unwrap_or(MethodId::WebSocket);
-    let browser = flags
-        .get("browser")
-        .map(|b| browser_by_name(b).unwrap_or_else(|| usage()))
-        .unwrap_or(BrowserKind::Chrome);
-    let os = flags
-        .get("os")
-        .map(|o| os_by_name(o).unwrap_or_else(|| usage()))
-        .unwrap_or(OsKind::Ubuntu1204);
-    let reps: u32 = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(25);
-    let seed: u64 = flags
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB32B_2013);
-
-    let mut builder = ExperimentCell::builder(method, RuntimeSel::Browser(browser), os)
-        .reps(reps)
-        .seed(seed);
-    if flags.contains_key("nanotime") {
+fn cmd_appraise(flags: &Flags) -> Result<(), RunError> {
+    let mut builder = target(flags, MethodId::WebSocket, CHROME_UBUNTU, 25);
+    if flags.on("nanotime") {
         builder = builder.timing(TimingApiKind::JavaNanoTime);
     }
-    let cell = match builder.build() {
-        Ok(cell) => cell,
-        Err(e @ bnm::RunError::Unrunnable { .. }) => {
-            eprintln!("{e} (Table 2 feature matrix)");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
+    let cell = builder.build()?;
     println!(
-        "Appraising {} ({} reps, seed {seed:#x}) …",
+        "Appraising {} ({} reps, seed {:#x}) …",
         cell.label(),
-        reps
+        cell.reps,
+        cell.seed
     );
-    let result = match ExperimentRunner::try_run(&cell) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let a = match Appraisal::try_of(&result) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("appraisal failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let result = ExperimentRunner::try_run(&cell)?;
+    let a = Appraisal::try_of(&result)?;
     println!(
         "\nΔd1: median {:8.3} ms  IQR [{:8.3}, {:8.3}]  outliers {}",
         a.d1.median,
@@ -266,53 +208,21 @@ fn cmd_appraise(flags: &HashMap<String, String>) {
     if result.failures > 0 {
         println!("({} repetitions failed)", result.failures);
     }
+    Ok(())
 }
 
-fn cmd_trace(flags: &HashMap<String, String>) {
-    let method = flags
-        .get("method")
-        .map(|m| method_by_label(m).unwrap_or_else(|| usage()))
-        .unwrap_or(MethodId::XhrGet);
-    let browser = flags
-        .get("browser")
-        .map(|b| browser_by_name(b).unwrap_or_else(|| usage()))
-        .unwrap_or(BrowserKind::Chrome);
-    let os = flags
-        .get("os")
-        .map(|o| os_by_name(o).unwrap_or_else(|| usage()))
-        .unwrap_or(OsKind::Ubuntu1204);
-    let reps: u32 = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(5);
-    let seed: u64 = flags
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB32B_2013);
-    let format = parse_format(flags);
-
-    let cell = match ExperimentCell::builder(method, RuntimeSel::Browser(browser), os)
-        .reps(reps)
-        .seed(seed)
+fn cmd_trace(flags: &Flags) -> Result<(), RunError> {
+    let cell = target(flags, MethodId::XhrGet, CHROME_UBUNTU, 5)
         .trace(true)
-        .build()
-    {
-        Ok(cell) => cell,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
-    let result = match ExperimentRunner::try_run(&cell) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-
+        .build()?;
+    let result = ExperimentRunner::try_run(&cell)?;
+    let format = flags.format();
     if format == ReportFormat::Text {
         println!(
-            "Δd attribution for {} ({} reps, seed {seed:#x}), ms:\n",
+            "Δd attribution for {} ({} reps, seed {:#x}), ms:\n",
             cell.label(),
-            reps
+            cell.reps,
+            cell.seed
         );
     }
     emit(&TraceReport::new(&result.attributions), format);
@@ -321,7 +231,7 @@ fn cmd_trace(flags: &HashMap<String, String>) {
     }
 
     // Raw event dump for the first repetition, in the same format.
-    if flags.contains_key("events") {
+    if flags.on("events") {
         if let Some(t) = result.traces.first() {
             match format {
                 ReportFormat::Json => println!("{}", t.to_json()),
@@ -329,437 +239,105 @@ fn cmd_trace(flags: &HashMap<String, String>) {
             }
         }
     }
+    Ok(())
 }
 
-fn cmd_impair(flags: &HashMap<String, String>) {
-    let method = flags
-        .get("method")
-        .map(|m| method_by_label(m).unwrap_or_else(|| usage()))
-        .unwrap_or(MethodId::WebSocket);
-    let browser = flags
-        .get("browser")
-        .map(|b| browser_by_name(b).unwrap_or_else(|| usage()))
-        .unwrap_or(BrowserKind::Chrome);
-    let os = flags
-        .get("os")
-        .map(|o| os_by_name(o).unwrap_or_else(|| usage()))
-        .unwrap_or(OsKind::Ubuntu1204);
-    let reps: u32 = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(25);
-    let seed: u64 = flags
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB32B_2013);
-    let format = parse_format(flags);
-    let prob = |name: &str| -> f64 {
-        let p = flags.get(name).and_then(|v| v.parse().ok()).unwrap_or(0.0);
-        if !(0.0..=1.0).contains(&p) {
-            usage();
-        }
-        p
-    };
-    let spec = FaultSpec {
-        drop_chance: prob("loss"),
-        corrupt_chance: prob("corrupt"),
-        duplicate_chance: prob("duplicate"),
-        ..FaultSpec::CLEAN
-    };
-    let jitter_ms: f64 = flags
-        .get("jitter")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    let imp = Impairment {
-        up: spec,
-        down: spec,
-        jitter: SimDuration::from_millis_f64(jitter_ms),
-    };
-
-    let cell = match ExperimentCell::builder(method, RuntimeSel::Browser(browser), os)
-        .reps(reps)
-        .seed(seed)
-        .impairment(imp)
-        .build()
-    {
-        Ok(cell) => cell,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
-    let result = match ExperimentRunner::try_run(&cell) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let med = |v: &[f64]| DistSummary::of_samples(v).p50;
-    let mut table = Table::new(
-        format!(
-            "{} on an impaired network ({} reps, seed {seed:#x})",
-            cell.label(),
-            reps
-        ),
-        &[
-            "cell",
-            "loss",
-            "corrupt",
-            "duplicate",
-            "jitter_ms",
-            "d1_median_ms",
-            "d2_median_ms",
-            "d1_n",
-            "d2_n",
-            "excluded_rounds",
-            "failures",
-            "dgram_delivered",
-            "dgram_lost",
-            "dgram_reordered",
-        ],
+fn cmd_impair(flags: &Flags) -> Result<(), RunError> {
+    let target = target(flags, MethodId::WebSocket, CHROME_UBUNTU, 25);
+    let cell = target.clone().build()?;
+    let mut table = sweep::loss(&[target], &[impairment(flags)])?;
+    table.title = format!(
+        "{} on an impaired network ({} reps, seed {:#x})",
+        cell.label(),
+        cell.reps,
+        cell.seed
     );
-    let (dg_delivered, dg_lost, dg_reordered) = datagram_cells(&result);
-    table.row(vec![
-        Value::Text(cell.label()),
-        Value::Num(spec.drop_chance),
-        Value::Num(spec.corrupt_chance),
-        Value::Num(spec.duplicate_chance),
-        Value::Num(jitter_ms),
-        Value::Num(med(&result.d1)),
-        Value::Num(med(&result.d2)),
-        Value::Int(result.d1.len() as i64),
-        Value::Int(result.d2.len() as i64),
-        Value::Int(result.excluded_rounds as i64),
-        Value::Int(result.failures as i64),
-        dg_delivered,
-        dg_lost,
-        dg_reordered,
-    ]);
     table.note(
         "Rounds hit by retransmission are excluded per §3.2; medians are R-7 \
-         over the surviving rounds. The dgram_* columns are populated only for \
-         datagram methods (webrtc), whose losses are measured, not excluded.",
+         over the surviving rounds. The dgram_* and datagram digest columns are \
+         populated only for datagram methods (webrtc), whose losses are measured, \
+         not excluded.",
     );
-    emit(&table, format);
+    emit(&table, flags.format());
+    Ok(())
 }
 
-/// The three `dgram_*` sweep cells: per-probe counters summed over every
-/// session for datagram methods, empty fields otherwise.
-fn datagram_cells(result: &bnm::core::runner::CellResult) -> (Value, Value, Value) {
-    let stats: Vec<_> = result
-        .sessions
-        .iter()
-        .filter_map(|s| s.datagram.as_ref())
-        .collect();
-    if stats.is_empty() {
-        return (
-            Value::Text(String::new()),
-            Value::Text(String::new()),
-            Value::Text(String::new()),
-        );
-    }
-    let delivered: u64 = stats.iter().map(|d| d.delivered).sum();
-    let lost: u64 = stats
-        .iter()
-        .map(|d| d.lost_upstream + d.lost_downstream)
-        .sum();
-    let reordered: u64 = stats.iter().map(|d| d.reordered).sum();
-    (
-        Value::Int(delivered as i64),
-        Value::Int(lost as i64),
-        Value::Int(reordered as i64),
-    )
-}
-
-fn cmd_contend(flags: &HashMap<String, String>) {
-    let method = flags
-        .get("method")
-        .map(|m| method_by_label(m).unwrap_or_else(|| usage()))
-        .unwrap_or(MethodId::FlashGet);
-    let browser = flags
-        .get("browser")
-        .map(|b| browser_by_name(b).unwrap_or_else(|| usage()))
-        .unwrap_or(BrowserKind::Opera);
-    let os = flags
-        .get("os")
-        .map(|o| os_by_name(o).unwrap_or_else(|| usage()))
-        .unwrap_or(OsKind::Windows7);
-    let max_clients: u32 = flags
-        .get("clients")
-        .and_then(|c| c.parse().ok())
-        .unwrap_or(64);
-    if !(1..=4096).contains(&max_clients) {
-        usage();
-    }
-    let reps: u32 = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(10);
-    let seed: u64 = flags
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB32B_2013);
-    let rate_mbps: f64 = flags
-        .get("rate-mbps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.4);
-    if rate_mbps <= 0.0 || !rate_mbps.is_finite() {
-        usage();
-    }
+fn cmd_contend(flags: &Flags) -> Result<(), RunError> {
+    let target = target(
+        flags,
+        MethodId::FlashGet,
+        (BrowserKind::Opera, OsKind::Windows7),
+        10,
+    );
+    let cell = target.clone().build()?;
+    let max_clients = flags.count("clients", 64) as u32;
+    let rate_mbps = flags.num("rate-mbps").unwrap_or(0.4);
     let rate_bps = (rate_mbps * 1e6) as u64;
-    let format = parse_format(flags);
-
     // Sweep the powers of two up to the requested cap (the cap itself is
     // always included so `--clients 48` still ends at 48).
-    let mut counts: Vec<u32> = std::iter::successors(Some(1u32), |c| Some(c * 2))
+    let points: Vec<ContentionSpec> = std::iter::successors(Some(1u32), |c| Some(c * 2))
         .take_while(|c| *c < max_clients)
+        .chain([max_clients])
+        .map(|c| ContentionSpec::clients(c).with_server_link_rate(rate_bps))
         .collect();
-    counts.push(max_clients);
-
-    let med = |v: &[f64]| DistSummary::of_samples(v).p50;
-    let mut table = Table::new(
-        format!(
-            "{} vs concurrent clients on a {rate_mbps} Mbps server link \
-             ({reps} reps, seed {seed:#x})",
-            method.display_name()
-        ),
-        &[
-            "cell",
-            "clients",
-            "rate_mbps",
-            "d1_median_ms",
-            "d2_median_ms",
-            "d1_n",
-            "d2_n",
-            "excluded_rounds",
-            "failures",
-            "dgram_delivered",
-            "dgram_lost",
-            "dgram_reordered",
-        ],
+    let mut table = sweep::contend(&[target], &points)?;
+    table.title = format!(
+        "{} vs concurrent clients on a {rate_mbps} Mbps server link ({} reps, seed {:#x})",
+        cell.method.display_name(),
+        cell.reps,
+        cell.seed
     );
-    for c in counts {
-        let cell = match ExperimentCell::builder(method, RuntimeSel::Browser(browser), os)
-            .reps(reps)
-            .seed(seed)
-            .contention(ContentionSpec::clients(c).with_server_link_rate(rate_bps))
-            .build()
-        {
-            Ok(cell) => cell,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        };
-        let result = match ExperimentRunner::try_run(&cell) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("run failed at {c} client(s): {e}");
-                std::process::exit(1);
-            }
-        };
-        // Every session is a measuring client, so pool them all.
-        let d1: Vec<f64> = result
-            .sessions
-            .iter()
-            .flat_map(|s| s.d1.iter().copied())
-            .collect();
-        let d2: Vec<f64> = result
-            .sessions
-            .iter()
-            .flat_map(|s| s.d2.iter().copied())
-            .collect();
-        let (dg_delivered, dg_lost, dg_reordered) = datagram_cells(&result);
-        table.row(vec![
-            Value::Text(cell.label()),
-            Value::Int(c as i64),
-            Value::Num(rate_mbps),
-            Value::Num(med(&d1)),
-            Value::Num(med(&d2)),
-            Value::Int(d1.len() as i64),
-            Value::Int(d2.len() as i64),
-            Value::Int(result.excluded_rounds as i64),
-            Value::Int(result.failures as i64),
-            dg_delivered,
-            dg_lost,
-            dg_reordered,
-        ]);
-    }
     table.note(
         "Fresh-connection methods (Flash GET round 1, Flash POST every round) \
          queue their in-round handshake behind the crowd's traffic — that wait \
          lands before tN_s and inflates Δd. Connection-reusing methods shed the \
          crowd's queueing because it falls between tN_s and tN_r (Eq. 1).",
     );
-    emit(&table, format);
+    emit(&table, flags.format());
+    Ok(())
 }
 
 /// `bnm webrtc` — run the WebRTC data-channel cell and emit its
 /// per-probe appraisal: OWD both ways, RFC 3550 jitter (wire vs
 /// browser), loss and reordering, plus the usual Δd digests.
-fn cmd_webrtc(flags: &HashMap<String, String>) {
-    let browser = flags
-        .get("browser")
-        .map(|b| browser_by_name(b).unwrap_or_else(|| usage()))
-        .unwrap_or(BrowserKind::Chrome);
-    let os = flags
-        .get("os")
-        .map(|o| os_by_name(o).unwrap_or_else(|| usage()))
-        .unwrap_or(OsKind::Ubuntu1204);
-    let reps: u32 = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(25);
-    let seed: u64 = flags
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB32B_2013);
-    let loss: f64 = flags
-        .get("loss")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    if !(0.0..=1.0).contains(&loss) {
-        usage();
-    }
-    let jitter_ms: f64 = flags
-        .get("jitter")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    let format = parse_format(flags);
-
-    let mut builder = ExperimentCell::builder(MethodId::WebRtc, RuntimeSel::Browser(browser), os)
-        .reps(reps)
-        .seed(seed);
-    if loss > 0.0 || jitter_ms > 0.0 {
-        let spec = FaultSpec {
-            drop_chance: loss,
-            ..FaultSpec::CLEAN
-        };
-        builder = builder.impairment(Impairment {
-            up: spec,
-            down: spec,
-            jitter: SimDuration::from_millis_f64(jitter_ms),
-        });
-    }
-    let cell = match builder.build() {
-        Ok(cell) => cell,
-        Err(e @ bnm::RunError::Unrunnable { .. }) => {
-            eprintln!("{e} (WebRTC needs a WebSocket-era engine, Table 2)");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
-    let result = match ExperimentRunner::try_run(&cell) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    emit(&result.summary(&cell), format);
+fn cmd_webrtc(flags: &Flags) -> Result<(), RunError> {
+    let cell = target(flags, MethodId::WebRtc, CHROME_UBUNTU, 25)
+        .impairment(impairment(flags))
+        .build()?;
+    let result = ExperimentRunner::try_run(&cell)?;
+    emit(&result.summary(&cell), flags.format());
+    Ok(())
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) {
-    let method = flags
-        .get("method")
-        .map(|m| method_by_label(m).unwrap_or_else(|| usage()))
-        .unwrap_or(MethodId::XhrGet);
-    if method.is_datagram() {
+fn cmd_serve(flags: &Flags) -> Result<(), RunError> {
+    if flags.method(MethodId::XhrGet).is_datagram() {
         eprintln!(
             "serve drives streaming marker sinks, which cannot recover \
              per-probe one-way delays; use `bnm webrtc` for datagram methods"
         );
         std::process::exit(2);
     }
-    let browser = flags
-        .get("browser")
-        .map(|b| browser_by_name(b).unwrap_or_else(|| usage()))
-        .unwrap_or(BrowserKind::Chrome);
-    let os = flags
-        .get("os")
-        .map(|o| os_by_name(o).unwrap_or_else(|| usage()))
-        .unwrap_or(OsKind::Ubuntu1204);
-    let clients: u32 = flags
-        .get("clients")
-        .and_then(|c| c.parse().ok())
-        .unwrap_or(1);
-    if !(1..=4096).contains(&clients) {
-        usage();
+    let mut contention = ContentionSpec::clients(flags.count("clients", 1) as u32);
+    if let Some(r) = flags.num("rate-mbps") {
+        contention = contention.with_server_link_rate((r * 1e6) as u64);
     }
-    let rate_mbps: Option<f64> = flags.get("rate-mbps").and_then(|v| v.parse().ok());
-    if rate_mbps.is_some_and(|r| r <= 0.0 || !r.is_finite()) {
-        usage();
-    }
-    let loss: f64 = flags
-        .get("loss")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    if !(0.0..=1.0).contains(&loss) {
-        usage();
-    }
-    let seed: u64 = flags
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB32B_2013);
-    let duration_secs: f64 = flags
-        .get("duration")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60.0);
-    let every_secs: f64 = flags
-        .get("every")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0);
-    let period_ms: f64 = flags
-        .get("period")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000.0);
-    if duration_secs <= 0.0 || every_secs <= 0.0 || period_ms <= 0.0 {
-        usage();
-    }
-    let format = parse_format(flags);
-
     // The monitor owns the round loop, so the cell's rep count is only a
     // label-level detail; streaming capture with bounded retention keeps
     // per-round memory flat no matter how long the run goes.
-    let mut builder = ExperimentCell::builder(method, RuntimeSel::Browser(browser), os)
-        .reps(1)
-        .seed(seed)
-        .streaming(StreamingSpec::serve());
-    if clients > 1 || rate_mbps.is_some() {
-        let mut spec = ContentionSpec::clients(clients);
-        if let Some(r) = rate_mbps {
-            spec = spec.with_server_link_rate((r * 1e6) as u64);
-        }
-        builder = builder.contention(spec);
-    }
-    if loss > 0.0 {
-        let spec = FaultSpec {
-            drop_chance: loss,
-            ..FaultSpec::CLEAN
-        };
-        builder = builder.impairment(Impairment {
-            up: spec,
-            down: spec,
-            jitter: SimDuration::ZERO,
-        });
-    }
-    let cell = match builder.build() {
-        Ok(cell) => cell,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
-
+    let cell = target(flags, MethodId::XhrGet, CHROME_UBUNTU, 1)
+        .streaming(StreamingSpec::serve())
+        .contention(contention)
+        .impairment(impairment(flags))
+        .build()?;
     let cfg = MonitorConfig {
-        round_period: SimDuration::from_millis_f64(period_ms),
+        round_period: SimDuration::from_millis_f64(flags.num("period").unwrap_or(1000.0)),
         ..MonitorConfig::default()
     };
-    let mut monitor = match Monitor::with_config(cell, cfg) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
+    let mut monitor = Monitor::with_config(cell, cfg)?;
 
-    let end = SimTime::ZERO + SimDuration::from_secs_f64(duration_secs);
-    let every = SimDuration::from_secs_f64(every_secs);
+    let format = flags.format();
+    let end = SimTime::ZERO + SimDuration::from_secs_f64(flags.num("duration").unwrap_or(60.0));
+    let every = SimDuration::from_secs_f64(flags.num("every").unwrap_or(10.0));
     let mut polls = 0u32;
     while monitor.now() < end {
         let remaining = SimDuration::from_nanos(end.as_nanos() - monitor.now().as_nanos());
@@ -790,13 +368,11 @@ fn cmd_serve(flags: &HashMap<String, String>) {
         }
         polls += 1;
     }
+    Ok(())
 }
 
-fn cmd_probe(flags: &HashMap<String, String>) {
-    let os = flags
-        .get("os")
-        .map(|o| os_by_name(o).unwrap_or_else(|| usage()))
-        .unwrap_or(OsKind::Windows7);
+fn cmd_probe(flags: &Flags) -> Result<(), RunError> {
+    let os = flags.os(OsKind::Windows7);
     let machine = MachineTimer::new(os, 2013);
     println!("Granularity probe on {} (Figure 5):", os.name());
     for kind in [TimingApiKind::JavaDateGetTime, TimingApiKind::JavaNanoTime] {
@@ -821,9 +397,10 @@ fn cmd_probe(flags: &HashMap<String, String>) {
                 .join(", ")
         );
     }
+    Ok(())
 }
 
-fn cmd_ping() {
+fn cmd_ping(_: &Flags) -> Result<(), RunError> {
     let rtts = ping_baseline(10, SimDuration::from_millis(50), 1);
     let s = Summary::of(&rtts);
     for (i, r) in rtts.iter().enumerate() {
@@ -836,88 +413,53 @@ fn cmd_ping() {
         s.median,
         s.max
     );
+    Ok(())
 }
 
-fn cmd_tput(flags: &HashMap<String, String>) {
-    let method = flags
-        .get("method")
-        .map(|m| method_by_label(m).unwrap_or_else(|| usage()))
-        .unwrap_or(MethodId::XhrGet);
-    let size: usize = flags
-        .get("size")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(128 * 1024);
-    let format = parse_format(flags);
-    let cell = ExperimentCell::paper(
+fn cmd_tput(flags: &Flags) -> Result<(), RunError> {
+    let method = flags.method(MethodId::XhrGet);
+    let size = flags.count("size", 128 * 1024) as usize;
+    // One repetition of the paper's Chrome/Ubuntu cell (its own seed).
+    let target = ExperimentCell::builder(
         method,
         RuntimeSel::Browser(BrowserKind::Chrome),
         OsKind::Ubuntu1204,
-    );
-    let mut table = Table::new(
-        format!("Throughput check: {} downloading {} bytes", method, size),
-        &["round", "wire_mbps", "measured_mbps", "underestimated_pct"],
-    );
-    match run_bulk_rep(&cell, 0, size) {
-        Ok(ms) => {
-            for m in ms {
-                table.row(vec![
-                    Value::Int(m.round as i64),
-                    Value::Num(m.wire_bps() / 1e6),
-                    Value::Num(m.browser_bps() / 1e6),
-                    Value::Num(m.underestimation() * 100.0),
-                ]);
-            }
-        }
-        Err(e) => {
-            eprintln!("measurement failed: {e}");
-            std::process::exit(1);
-        }
-    }
-    emit(&table, format);
+    )
+    .reps(1);
+    let mut table = sweep::tput(&[target], &[size])?;
+    table.title = format!("Throughput check: {method} downloading {size} bytes");
+    emit(&table, flags.format());
+    Ok(())
 }
 
 /// `bnm battery` — the full scored appraisal suite: every roster method
 /// across the clean, impaired, contended, bufferbloat (drop-tail and
 /// CoDel) and time-varying scenarios, ranked per scenario by the
 /// measured deployment score.
-fn cmd_battery(flags: &HashMap<String, String>) {
-    let mut cfg = if flags.contains_key("quick") {
+fn cmd_battery(flags: &Flags) -> Result<(), RunError> {
+    let mut cfg = if flags.on("quick") {
         bnm::BatteryConfig::quick()
     } else {
         bnm::BatteryConfig::default()
     };
-    if let Some(reps) = flags.get("reps") {
-        cfg.reps = reps.parse().unwrap_or_else(|_| usage());
-        if cfg.reps == 0 {
-            usage();
-        }
-    }
-    if let Some(seed) = flags.get("seed") {
-        cfg.seed = seed.parse().unwrap_or_else(|_| usage());
-    }
-    let format = parse_format(flags);
-    let exec = if flags.contains_key("serial") {
+    cfg.reps = flags.reps(cfg.reps);
+    cfg.seed = flags.count("seed", cfg.seed);
+    let exec = if flags.on("serial") {
         bnm::Executor::serial()
     } else {
         bnm::Executor::new()
     };
-    match bnm::run_battery(&cfg, &exec) {
-        Ok(report) => emit(&report, format),
-        Err(e) => {
-            eprintln!("battery failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    emit(&bnm::run_battery(&cfg, &exec)?, flags.format());
+    Ok(())
 }
 
-fn cmd_recommend(flags: &HashMap<String, String>) {
+fn cmd_recommend(flags: &Flags) -> Result<(), RunError> {
     let c = Constraints {
-        mobile: flags.contains_key("mobile"),
-        plugins_allowed: !flags.contains_key("no-plugins"),
-        can_open_ports: !flags.contains_key("no-ports"),
-        strict_cross_origin: flags.contains_key("strict-origin"),
+        mobile: flags.on("mobile"),
+        plugins_allowed: !flags.on("no-plugins"),
+        can_open_ports: !flags.on("no-ports"),
+        strict_cross_origin: flags.on("strict-origin"),
     };
-    let format = parse_format(flags);
     let mut table = Table::new(
         format!("§5 method recommendations under {c:?}"),
         &["rank", "method", "timing", "rationale"],
@@ -933,5 +475,6 @@ fn cmd_recommend(flags: &HashMap<String, String>) {
     for (m, why) in recommend::discouraged() {
         table.note(format!("Discouraged: {} — {}", m.display_name(), why));
     }
-    emit(&table, format);
+    emit(&table, flags.format());
+    Ok(())
 }

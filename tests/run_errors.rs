@@ -100,3 +100,48 @@ fn no_samples_from_empty_appraisal() {
     let empty = CellResult::default();
     assert_eq!(Appraisal::try_of(&empty).unwrap_err(), RunError::NoSamples);
 }
+
+/// Run the `bnm` binary: (exit code, stdout, stderr).
+fn bnm(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bnm"))
+        .args(args)
+        .output()
+        .expect("launch bnm");
+    let text = |b: Vec<u8>| String::from_utf8(b).expect("utf-8 output");
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+#[test]
+fn bad_cli_input_exits_2_with_usage_and_runs_nothing() {
+    for args in [
+        &["impair", "--loss", "abc"][..],
+        &["impair", "--rep", "2", "--los", "0.05"],
+        &["impair", "--jitter", "-5"],
+        &["impair", "--loss", "1.5"],
+        &["impair", "--loss"],
+        &["impair", "--reps", "0"],
+        &["contend", "--rate-mbps", "abc"],
+        &["contend", "--rep", "2"],
+        &["contend", "--clients", "4097"],
+        &["serve", "--period", "0"],
+        &["battery", "--seed", "zap"],
+        &["list", "stray"],
+    ] {
+        let (code, stdout, stderr) = bnm(args);
+        assert_eq!(code, Some(2), "{args:?} exit code; stderr: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} printed: {stdout}");
+        assert!(
+            stderr.contains("invalid input") && stderr.contains("usage: bnm"),
+            "{args:?} stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn hex_seed_is_the_seed_that_runs() {
+    let hex = bnm(&["impair", "--seed", "0xAB", "--reps", "2"]);
+    assert_eq!(hex.0, Some(0), "stderr: {}", hex.2);
+    assert!(hex.1.contains("seed 0xab"), "{}", hex.1);
+    // The same run as the decimal spelling of the same seed.
+    assert_eq!(hex, bnm(&["impair", "--seed", "171", "--reps", "2"]));
+}

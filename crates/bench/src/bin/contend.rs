@@ -89,8 +89,7 @@ fn main() {
         table.note(
             "Crowd tiers (128+) hold the per-client link share constant at the 64-client \
              endpoint's, so they show pure crowd-size effect under the streaming pipeline \
-             with bounded retention. pool_live_peak sums per-worker peaks, so it bounds \
-             the true peak from above and can differ between runs.",
+             with bounded retention.",
         );
         Ok(table)
     });

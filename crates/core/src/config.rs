@@ -108,8 +108,9 @@ impl ContentionSpec {
 /// extension as one typed value.
 ///
 /// The default reproduces the batch pipeline byte for byte: taps retain
-/// every frame until the repetition ends, matching parses the full
-/// trace, and every session keeps its raw Δd sample vectors. The
+/// every frame until the repetition ends, matching folds the drained
+/// taps into the marker index ([`crate::streaming`]) afterwards, and
+/// every session keeps its raw Δd sample vectors. The
 /// streaming knobs trade retention for bounded memory without changing
 /// a single output bit (asserted by `tests/streaming_parity.rs`):
 ///
@@ -123,12 +124,12 @@ impl ContentionSpec {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamingSpec {
-    /// Consume capture records at capture time through marker sinks
-    /// ([`crate::streaming`]) instead of retaining frames until the run
-    /// ends. Frames recycle through the pool mid-run, so peak memory no
-    /// longer scales with the crowd's total traffic. Incompatible with
-    /// `trace` output only in the sense that traces still retain what
-    /// they always did; capture retention is what this switches off.
+    /// Feed capture records to the marker sinks ([`crate::streaming`])
+    /// at capture time instead of retaining frames until the run ends.
+    /// Frames recycle through the pool mid-run, so peak memory no longer
+    /// scales with the crowd's total traffic. Incompatible with `trace`
+    /// output only in the sense that traces still retain what they
+    /// always did; capture retention is what this switches off.
     pub stream_captures: bool,
     /// Per-session raw-sample retention threshold. `None` keeps every
     /// raw Δd sample (the paper's 50-rep cells need them for exact
@@ -137,12 +138,12 @@ pub struct StreamingSpec {
     /// so crowd sweeps get quantiles in O(log-buckets) memory per
     /// session instead of O(reps).
     pub session_retention: Option<u32>,
-    /// Worker threads for per-session capture matching in the batch
-    /// path. `None` picks automatically (parallel when a repetition has
-    /// enough sessions to pay for it); `Some(1)` forces serial;
-    /// `Some(n)` forces `n` workers. Output is bit-identical either
-    /// way — matching is per-session-independent and folded in
-    /// ascending session order.
+    /// Worker threads for folding the drained client taps into their
+    /// sinks in the batch path. `None` picks automatically (parallel
+    /// when a repetition has enough sessions to pay for it); `Some(1)`
+    /// forces serial; `Some(n)` forces `n` workers. Output is
+    /// bit-identical either way — each session's sink is independent,
+    /// and sessions are judged in ascending order.
     pub match_workers: Option<usize>,
 }
 

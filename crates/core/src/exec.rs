@@ -105,6 +105,23 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Join scoped worker threads, re-raising a worker's panic.
+///
+/// The scope alone returns as soon as the worker closures finish, while
+/// their threads may still be exiting: dropping thread-local frame
+/// pools, and the C allocator handing each thread's malloc arena back.
+/// Threads spawned meanwhile by the next batch find no free arena, so
+/// the allocator opens another, and a worker's whole working set stays
+/// resident in it for the life of the process — a peak-RSS jump of that
+/// size at random. A real join waits for each thread to finish exiting.
+fn join_all<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) {
+    for handle in handles {
+        if let Err(panic) = handle.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
+
 /// Generic work-stealing fan-out over indexed items — the same dealt
 /// deque + steal-from-the-back discipline [`Executor`] uses for
 /// `(cell × rep)` units, reused by the runner's per-session capture
@@ -136,7 +153,7 @@ where
         let queues = &queues;
         let sink = &sink;
         let f = &f;
-        for wid in 0..workers {
+        let handles = (0..workers).map(|wid| {
             scope.spawn(move || {
                 let mut local = Vec::new();
                 loop {
@@ -153,8 +170,9 @@ where
                     local.push((i, f(i, t)));
                 }
                 lock(sink).extend(local);
-            });
-        }
+            })
+        });
+        join_all(handles.collect());
     });
     let mut tagged = sink.into_inner().unwrap_or_else(PoisonError::into_inner);
     tagged.sort_unstable_by_key(|(i, _)| *i);
@@ -345,7 +363,7 @@ impl Executor {
             let sink = &sink;
             let tallies = &tallies;
             let completed = &completed;
-            for wid in 0..workers {
+            let handles = (0..workers).map(|wid| {
                 scope.spawn(move || {
                     let mut local = Vec::new();
                     let mut done_units = 0usize;
@@ -385,8 +403,9 @@ impl Executor {
                     // A scoped worker is a fresh thread: its thread-local
                     // pool counters are exactly this batch's contribution.
                     *lock(&tallies[wid]) = (done_units, busy, bytes::pool::stats());
-                });
-            }
+                })
+            });
+            join_all(handles.collect());
         });
         let tallies = tallies
             .into_iter()

@@ -5,27 +5,78 @@
 //! transport payloads out of raw captured frames. The two modules used
 //! to carry verbatim copies of these helpers; they live here once.
 
-use bnm_sim::wire::{ParsedPacket, Transport};
-use bytes::Bytes;
+use bnm_sim::wire::ParsedPacket;
 
 /// Transport payload of a captured frame, if it parses.
 ///
-/// Returns the parser's own refcounted payload view — no extra copy is
-/// made for the caller. Frames that fail to parse, and transports
-/// without a greppable payload (ICMP, unknown), yield `None`, exactly
-/// as a checksum-filtering analyst would drop them.
-pub fn payload_of(frame: &[u8]) -> Option<Bytes> {
-    let parsed = ParsedPacket::parse(frame).ok()?;
-    match parsed.transport {
-        Transport::Tcp(seg) => Some(seg.payload),
-        Transport::Udp(d) => Some(d.payload),
-        Transport::Icmp(_) | Transport::Other(_) => None,
-    }
+/// A view into the frame itself, checked exactly as
+/// [`ParsedPacket::parse`] checks it (lengths, IPv4 and TCP/UDP
+/// checksums, TCP options) but without copying any layer. Frames that
+/// fail to parse, and transports without a greppable payload (ICMP,
+/// unknown), yield `None`, exactly as a checksum-filtering analyst would
+/// drop them.
+pub fn payload_of(frame: &[u8]) -> Option<&[u8]> {
+    ParsedPacket::transport_payload(frame)
 }
 
-/// Substring search (the capture analyst's `grep`).
+/// Substring search (the capture analyst's `grep`). An empty needle
+/// never matches.
 pub fn contains(haystack: &[u8], needle: &[u8]) -> bool {
-    !needle.is_empty() && haystack.windows(needle.len()).any(|w| w == needle)
+    occurrences(haystack, needle).next().is_some()
+}
+
+/// Offsets [`occurrences`] filters per step.
+const BLOCK: usize = 32;
+
+/// Start offsets of every occurrence of `needle` in `haystack`,
+/// overlapping ones included, in ascending order; none for an empty
+/// needle.
+///
+/// Offsets are filtered 32 at a time on the needle's first two
+/// bytes, a branch-free test the compiler vectorizes; only a block that
+/// holds a candidate is compared offset by offset, inline (most
+/// candidates differ early, sooner than a `memcmp` call returns).
+pub fn occurrences<'a>(haystack: &'a [u8], needle: &'a [u8]) -> impl Iterator<Item = usize> + 'a {
+    // Offsets a whole needle fits after; zero of them for an empty one.
+    let starts = if needle.is_empty() {
+        0
+    } else {
+        (haystack.len() + 1).saturating_sub(needle.len())
+    };
+    // The second byte filtered on (the first again for a one-byte needle).
+    let second = usize::from(needle.len() > 1);
+    let first_byte = needle.first().copied().unwrap_or(0);
+    let second_byte = needle.get(second).copied().unwrap_or(0);
+    let mut from = 0;
+    std::iter::from_fn(move || {
+        while from < starts {
+            let end = (from + BLOCK).min(starts);
+            let block = |at: usize| <&[u8; BLOCK]>::try_from(haystack.get(at..at + BLOCK)?).ok();
+            // A short final block is always compared offset by offset.
+            let candidate = match (block(from), block(from + second)) {
+                (Some(firsts), Some(seconds)) if end - from == BLOCK => (0..BLOCK)
+                    .fold(false, |any, i| {
+                        any | ((firsts[i] == first_byte) & (seconds[i] == second_byte))
+                    }),
+                _ => true,
+            };
+            if !candidate {
+                from = end;
+                continue;
+            }
+            while from < end {
+                let at = from;
+                from += 1;
+                if haystack[at] == first_byte
+                    && haystack[at + second] == second_byte
+                    && haystack[at..at + needle.len()].iter().eq(needle)
+                {
+                    return Some(at);
+                }
+            }
+        }
+        None
+    })
 }
 
 #[cfg(test)]
@@ -35,6 +86,7 @@ mod tests {
         EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, TcpFlags, TcpSegment,
         UdpDatagram,
     };
+    use bytes::Bytes;
     use std::net::Ipv4Addr;
 
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -72,7 +124,7 @@ mod tests {
         };
         let frame = wrap(IpProtocol::Tcp, seg.emit(A, B));
         let p = payload_of(&frame).expect("parses");
-        assert_eq!(&p[..], b"m=xhr_get&r=1&t=7");
+        assert_eq!(p, b"m=xhr_get&r=1&t=7");
     }
 
     #[test]
@@ -83,7 +135,7 @@ mod tests {
             payload: Bytes::from_static(b"probe"),
         };
         let frame = wrap(IpProtocol::Udp, dgram.emit(A, B));
-        assert_eq!(&payload_of(&frame).unwrap()[..], b"probe");
+        assert_eq!(payload_of(&frame).unwrap(), b"probe");
     }
 
     #[test]
@@ -98,5 +150,13 @@ mod tests {
         assert!(!contains(b"pong r=1", b"pong r=10"));
         assert!(!contains(b"anything", b""), "empty needle never matches");
         assert!(contains(b"abc", b"abc"));
+        assert!(!contains(b"ab", b"abc"), "needle longer than the haystack");
+    }
+
+    #[test]
+    fn occurrences_include_overlaps() {
+        let at: Vec<usize> = occurrences(b"aaab aa", b"aa").collect();
+        assert_eq!(at, [0, 1, 5]);
+        assert_eq!(occurrences(b"abc", b"").count(), 0);
     }
 }

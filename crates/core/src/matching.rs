@@ -74,19 +74,18 @@ pub fn response_marker(method: MethodId, round: u8, token: u64) -> Vec<u8> {
 }
 
 /// A capture whose frames have been parsed once, ready for repeated
-/// round matching.
+/// round matching by scanning.
 ///
-/// [`match_round`] used to re-parse every frame for every round —
-/// O(rounds × frames) wire decoding per repetition. Parsing up front
-/// makes matching all of a session's rounds a single pass over the
-/// trace, and is what the retransmission check needs anyway: it must
-/// scan *every* record (no early exit) to count duplicate marker hits.
+/// Every query greps the whole trace — every record, no early exit, as
+/// the retransmission check must count duplicate marker hits. The run
+/// path answers the same questions from the one-pass marker index
+/// ([`crate::streaming`]); this scan is its oracle in the tests and in
+/// the benchmark's replay.
 #[derive(Debug, Clone)]
 pub struct ParsedCapture {
     /// `(stamp, direction, transport payload)` of every frame that
     /// parsed; corrupted or non-TCP/UDP frames are dropped, exactly as a
-    /// checksum-filtering analyst would drop them. Payloads are
-    /// refcounted views into the parser's buffers, not copies.
+    /// checksum-filtering analyst would drop them.
     records: Vec<(SimTime, CaptureDir, Bytes)>,
 }
 
@@ -97,20 +96,22 @@ impl ParsedCapture {
             records: capture
                 .records()
                 .iter()
-                .filter_map(|rec| payload_of(&rec.frame).map(|p| (rec.ts, rec.dir, p)))
+                .filter_map(|rec| Self::record(rec.ts, rec.dir, &rec.frame))
                 .collect(),
         }
     }
 
+    fn record(ts: SimTime, dir: CaptureDir, frame: &[u8]) -> Option<(SimTime, CaptureDir, Bytes)> {
+        payload_of(frame).map(|p| (ts, dir, Bytes::copy_from_slice(p)))
+    }
+
     /// Parse records that were [`CaptureBuffer::drain`]ed out of their
-    /// tap — the owned-record path the parallel matcher hands worker
-    /// threads, since a drained `Vec<CaptureRecord>` is `Send` while a
-    /// whole engine is not. Identical filtering to [`Self::parse`].
+    /// tap. Identical filtering to [`Self::parse`].
     pub fn parse_records(records: &[bnm_sim::CaptureRecord]) -> ParsedCapture {
         ParsedCapture {
             records: records
                 .iter()
-                .filter_map(|rec| payload_of(&rec.frame).map(|p| (rec.ts, rec.dir, p)))
+                .filter_map(|rec| Self::record(rec.ts, rec.dir, &rec.frame))
                 .collect(),
         }
     }
@@ -125,6 +126,15 @@ impl ParsedCapture {
             .collect()
     }
 
+    /// [`Self::hits`] folded to what matching reads of it.
+    fn acc(&self, dir: CaptureDir, marker: &[u8]) -> HitAcc {
+        let hits = self.hits(dir, marker);
+        HitAcc {
+            count: hits.len() as u32,
+            first: hits.first().copied(),
+        }
+    }
+
     /// Find `tN_s`/`tN_r` for one round in a client-side capture.
     ///
     /// The whole trace is scanned: a marker seen in more than one packet
@@ -137,22 +147,10 @@ impl ParsedCapture {
         round: u8,
         token: u64,
     ) -> Result<WireTimes, MatchError> {
-        let tx = self.hits(CaptureDir::Tx, &request_marker(method, round, token));
-        let rx = self.hits(CaptureDir::Rx, &response_marker(method, round, token));
-        if tx.len() > 1 || rx.len() > 1 {
-            return Err(MatchError::Retransmitted);
-        }
-        match (tx.first(), rx.first()) {
-            (None, _) => Err(MatchError::RequestNotFound),
-            (_, None) => Err(MatchError::ResponseNotFound),
-            (Some(&s), Some(&r)) => {
-                if r < s {
-                    Err(MatchError::OutOfOrder)
-                } else {
-                    Ok(WireTimes { tn_s: s, tn_r: r })
-                }
-            }
-        }
+        judge_round(
+            self.acc(CaptureDir::Tx, &request_marker(method, round, token)),
+            self.acc(CaptureDir::Rx, &response_marker(method, round, token)),
+        )
     }
 
     /// Whether either of the round's markers appears more than once in
@@ -169,6 +167,42 @@ impl ParsedCapture {
         [CaptureDir::Tx, CaptureDir::Rx]
             .iter()
             .any(|&d| self.hits(d, &req).len() > 1 || self.hits(d, &resp).len() > 1)
+    }
+}
+
+/// Everything matching reads of one marker's hits in one capture
+/// direction: the first hit's stamp and the hit count (a count above
+/// one is already a retransmission or a duplicate, however far above).
+/// Constant-size, so evidence can be folded record by record as it is
+/// captured.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct HitAcc {
+    /// Records that carried the marker.
+    pub count: u32,
+    /// Capture stamp of the first of them.
+    pub first: Option<SimTime>,
+}
+
+impl HitAcc {
+    /// Fold in one more record carrying the marker.
+    pub(crate) fn note(&mut self, ts: SimTime) {
+        self.count += 1;
+        self.first.get_or_insert(ts);
+    }
+}
+
+/// One round's verdict from its request marker's client-Tx evidence and
+/// its response marker's client-Rx evidence — the decision order every
+/// evidence source shares.
+pub(crate) fn judge_round(tx: HitAcc, rx: HitAcc) -> Result<WireTimes, MatchError> {
+    if tx.count > 1 || rx.count > 1 {
+        return Err(MatchError::Retransmitted);
+    }
+    match (tx.first, rx.first) {
+        (None, _) => Err(MatchError::RequestNotFound),
+        (_, None) => Err(MatchError::ResponseNotFound),
+        (Some(s), Some(r)) if r < s => Err(MatchError::OutOfOrder),
+        (Some(s), Some(r)) => Ok(WireTimes { tn_s: s, tn_r: r }),
     }
 }
 
@@ -211,6 +245,20 @@ pub struct ProbeVerdict {
     pub owd_down_ms: Option<f64>,
 }
 
+/// One datagram probe's marker evidence from the four (tap, direction)
+/// quadrants.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ProbeEvidence {
+    /// Client Tx: the probe leaving.
+    pub probe_tx: HitAcc,
+    /// Server Rx: the probe arriving.
+    pub probe_at_server: HitAcc,
+    /// Server Tx: the echo leaving.
+    pub echo_tx: HitAcc,
+    /// Client Rx: the echo arriving.
+    pub echo_rx: HitAcc,
+}
+
 /// Match every probe of a datagram train against both taps.
 ///
 /// `client` and `server` are the two WinDump views. For each sequence
@@ -230,33 +278,41 @@ pub fn match_datagram_train(
     train_len: u8,
     token: u64,
 ) -> Vec<ProbeVerdict> {
+    judge_train(train_len, |seq| {
+        let marker = request_marker(method, seq, token);
+        ProbeEvidence {
+            probe_tx: client.acc(CaptureDir::Tx, &marker),
+            probe_at_server: server.acc(CaptureDir::Rx, &marker),
+            echo_tx: server.acc(CaptureDir::Tx, &marker),
+            echo_rx: client.acc(CaptureDir::Rx, &marker),
+        }
+    })
+}
+
+/// Judge probes `1..=train_len` from their four-quadrant evidence: each
+/// probe's delivery status, duplication and one-way delays, then
+/// reordering across the train — the decision order every evidence
+/// source shares.
+pub(crate) fn judge_train(
+    train_len: u8,
+    mut evidence: impl FnMut(u8) -> ProbeEvidence,
+) -> Vec<ProbeVerdict> {
     let mut verdicts: Vec<ProbeVerdict> = (1..=train_len)
         .map(|seq| {
-            let marker = request_marker(method, seq, token);
-            let probe_tx = client.hits(CaptureDir::Tx, &marker);
-            let probe_at_server = server.hits(CaptureDir::Rx, &marker);
-            let echo_tx = server.hits(CaptureDir::Tx, &marker);
-            let echo_rx = client.hits(CaptureDir::Rx, &marker);
-            let duplicated = [&probe_tx, &probe_at_server, &echo_tx, &echo_rx]
+            let e = evidence(seq);
+            let duplicated = [e.probe_tx, e.probe_at_server, e.echo_tx, e.echo_rx]
                 .iter()
-                .any(|h| h.len() > 1);
-            let status = if probe_at_server.is_empty() {
+                .any(|h| h.count > 1);
+            let status = if e.probe_at_server.first.is_none() {
                 ProbeStatus::LostUpstream
-            } else if echo_rx.is_empty() {
+            } else if e.echo_rx.first.is_none() {
                 ProbeStatus::LostDownstream
             } else {
                 ProbeStatus::Delivered
             };
-            let owd_up_ms = match (probe_tx.first(), probe_at_server.first()) {
-                (Some(&s), Some(&r)) => Some(r.signed_millis_since(s)),
-                _ => None,
-            };
-            let owd_down_ms = match (echo_tx.first(), echo_rx.first()) {
-                (Some(&s), Some(&r)) => Some(r.signed_millis_since(s)),
-                _ => None,
-            };
-            let wire = match (probe_tx.first(), echo_rx.first()) {
-                (Some(&s), Some(&r)) if status == ProbeStatus::Delivered => {
+            let owd = |from: HitAcc, to: HitAcc| Some(to.first?.signed_millis_since(from.first?));
+            let wire = match (e.probe_tx.first, e.echo_rx.first) {
+                (Some(s), Some(r)) if status == ProbeStatus::Delivered => {
                     Some(WireTimes { tn_s: s, tn_r: r })
                 }
                 _ => None,
@@ -267,8 +323,8 @@ pub fn match_datagram_train(
                 duplicated,
                 reordered: false,
                 wire,
-                owd_up_ms,
-                owd_down_ms,
+                owd_up_ms: owd(e.probe_tx, e.probe_at_server),
+                owd_down_ms: owd(e.echo_tx, e.echo_rx),
             }
         })
         .collect();

@@ -29,7 +29,7 @@ use crate::config::{ExperimentCell, RuntimeSel};
 use crate::delta::RoundMeasurement;
 use crate::error::RunError;
 use crate::exec::Executor;
-use crate::matching::{match_datagram_train, MatchError, ParsedCapture, ProbeStatus, WireTimes};
+use crate::matching::{MatchError, ProbeStatus, ProbeVerdict};
 use crate::report::{DatagramReport, DistSummary, LinkReport, ReportSnapshot, WindowReport};
 use crate::scenario::{Scenario, SessionSpec};
 use crate::streaming::{DiscardSink, ServerMarkerIndex, SessionMarkerSink};
@@ -448,15 +448,6 @@ impl CellResult {
 /// scenarios, the paper's one-client cells among them.
 const PARALLEL_MATCH_MIN_SESSIONS: usize = 16;
 
-/// One session's matching work, drained out of its tap so worker
-/// threads can own it.
-struct SessionMatchItem {
-    sid: u64,
-    token: u64,
-    rounds: Vec<RoundResult>,
-    records: Vec<CaptureRecord>,
-}
-
 /// The testbed configuration and one session spec per client for one
 /// repetition of `cell`, running `plan` on `profile`.
 ///
@@ -516,43 +507,11 @@ pub(crate) fn rep_setup(
     (cfg, specs)
 }
 
-/// Judge one session's rounds in order and push each measured one:
-///
-/// 1. the client-tap match — [`MatchError::Retransmitted`] excludes the
-///    round, any other match error ends the session;
-/// 2. the server-tap retransmission check — a hit excludes the round;
-/// 3. otherwise the round is a measurement.
-///
-/// The streaming and batch paths differ only in the marker source
-/// behind the two closures. Returns the number of excluded rounds.
-fn judge_rounds(
-    sid: u64,
-    rounds: &[RoundResult],
-    client_match: impl Fn(u8) -> Result<WireTimes, MatchError>,
-    server_retransmitted: impl Fn(u8) -> bool,
-    out: &mut Vec<RoundMeasurement>,
-) -> Result<u32, RunError> {
-    let mut excluded = 0u32;
-    for r in rounds {
-        let wire = match client_match(r.round) {
-            Err(MatchError::Retransmitted) => {
-                excluded += 1;
-                continue;
-            }
-            other => other?,
-        };
-        if server_retransmitted(r.round) {
-            excluded += 1;
-            continue;
-        }
-        out.push(RoundMeasurement {
-            session: sid,
-            round: r.round,
-            browser: *r,
-            wire,
-        });
+/// Feed records drained from a tap to `sink`, in capture order.
+fn feed(sink: &mut dyn CaptureSink, records: &[CaptureRecord]) {
+    for rec in records {
+        sink.on_record(rec.ts, rec.dir, &rec.frame);
     }
-    Ok(excluded)
 }
 
 /// Runs experiment cells.
@@ -611,24 +570,32 @@ impl ExperimentRunner {
         let tokens: Vec<u64> = (0..sc.len())
             .map(|i| session_token(sc.session_id(i), u64::from(rep)))
             .collect();
+        // Every tap's evidence folds into a marker index: one sink per
+        // client tap, and on the server tap the index when it carries
+        // evidence — datagram one-way stamps, or retransmissions a lossy
+        // network hides from the client tap (a response dropped
+        // downstream leaves the client trace clean while the server's
+        // NIC saw it leave twice).
         let is_datagram = cell.method.is_datagram();
-        // Datagram appraisal needs full stamps from *both* taps (one-way
-        // delays come from the mid-path view), which the marker sinks do
-        // not retain — datagram cells always parse batch-style.
-        let streaming = cell.streaming.stream_captures && !is_datagram;
+        let mut clients: Vec<SessionMarkerSink> = tokens
+            .iter()
+            .map(|&t| SessionMarkerSink::new(cell.method, plan_rounds, t))
+            .collect();
+        let indexed = is_datagram || !cell.impairment.is_clean();
+        let mut server = indexed.then(|| ServerMarkerIndex::new(cell.method, plan_rounds, &tokens));
+        // Streaming only decides when records reach the sinks: here at
+        // capture time, so frames recycle through the pool mid-run,
+        // rather than from the drained taps after the run.
+        let streaming = cell.streaming.stream_captures;
         if streaming {
-            // Streaming mode: marker sinks consume every record at
-            // capture time (identically stamped and truncated to what a
-            // retaining tap would store), so frames recycle through the
-            // pool mid-run instead of pinning until the match below.
-            Self::install_sinks(
-                &mut sc.engine,
-                &sc.client_taps,
-                sc.server_tap,
-                cell,
-                plan_rounds,
-                &tokens,
-            );
+            for (&tap, sink) in sc.client_taps.iter().zip(clients.drain(..)) {
+                sc.engine.tap_mut(tap).set_sink(Box::new(sink));
+            }
+            let server_sink: Box<dyn CaptureSink> = match server.take() {
+                Some(index) => Box::new(index),
+                None => Box::new(DiscardSink::default()),
+            };
+            sc.engine.tap_mut(sc.server_tap).set_sink(server_sink);
         }
         sc.run();
         let link = Self::read_link_report(&sc.engine, sc.server_link, sc.server, sc.switch);
@@ -637,70 +604,78 @@ impl ExperimentRunner {
                 return Err(RunError::Match(MatchError::ResponseNotFound));
             }
         }
+        if streaming {
+            clients = sc
+                .client_taps
+                .iter()
+                .map(|&tap| Self::take_sink(&mut sc.engine, tap))
+                .collect();
+            server = indexed.then(|| Self::take_sink(&mut sc.engine, sc.server_tap));
+        } else {
+            // Drained records are owned and `Send` (a whole engine is
+            // not), so sessions fold in parallel once the crowd is big
+            // enough to pay for the threads; each sink sees its own
+            // records in capture order either way.
+            let drained: Vec<_> = clients
+                .into_iter()
+                .zip(&sc.client_taps)
+                .map(|(sink, &tap)| (sink, sc.engine.tap_mut(tap).drain()))
+                .collect();
+            let workers = Self::match_worker_count(cell, drained.len());
+            clients = crate::exec::fan_out(drained, workers, |_, (mut sink, records)| {
+                feed(&mut sink, &records);
+                sink
+            });
+            if let Some(index) = &mut server {
+                feed(index, &sc.engine.tap_mut(sc.server_tap).drain());
+            }
+        }
+        // Judge each session's rounds in order, stopping at its first
+        // match error. A reliable round whose marker hit more than once
+        // in one direction of either tap is excluded (retransmitted or
+        // duplicated on the wire); a datagram train is appraised probe
+        // by probe instead and never excludes.
         let mut out = Vec::new();
         let mut excluded_total = 0u32;
         let mut excluded_by_session = Vec::with_capacity(sc.len());
         let mut datagram = Vec::new();
-        if streaming {
-            // The server sink is the marker index on an impaired network
-            // and a discard sink on a clean one (no server-side check).
-            let server_sink = Self::take_sink(&mut sc.engine, sc.server_tap);
-            let index = server_sink.as_any().downcast_ref::<ServerMarkerIndex>();
-            for (i, &token) in tokens.iter().enumerate() {
-                let sid = sc.session_id(i);
-                let client_sink = Self::take_sink(&mut sc.engine, sc.client_taps[i]);
-                let sink = client_sink
-                    .as_any()
-                    .downcast_ref::<SessionMarkerSink>()
-                    .expect("client tap sink is a SessionMarkerSink");
-                let excluded = judge_rounds(
-                    sid,
-                    &sc.session(i).result().rounds,
-                    |round| sink.match_round(round),
-                    |round| index.is_some_and(|ix| ix.round_retransmitted(round, token)),
-                    &mut out,
-                )?;
-                excluded_total += excluded;
-                excluded_by_session.push((sid, excluded));
-            }
-        } else {
-            // Batch path: drain every session's records out of its tap
-            // (owned records are `Send`; a whole engine is not) and
-            // match sessions independently — in parallel when the crowd
-            // is big enough to pay for the threads. Results fold in
-            // ascending session order, and a session's first match error
-            // is reported exactly where the serial loop would have
-            // stopped, so output is bit-identical to serial matching.
-            // The server capture is parsed only when it carries evidence:
-            // datagram one-way stamps, or retransmissions a lossy network
-            // hides from the client tap (a response dropped downstream
-            // leaves the client trace clean while the server's NIC saw it
-            // leave twice).
-            let server_parsed = (is_datagram || !cell.impairment.is_clean())
-                .then(|| ParsedCapture::parse(sc.engine.tap(sc.server_tap)));
-            let items: Vec<SessionMatchItem> = tokens
-                .iter()
-                .enumerate()
-                .map(|(i, &token)| SessionMatchItem {
-                    sid: sc.session_id(i),
-                    token,
-                    rounds: sc.session(i).result().rounds.clone(),
-                    records: sc.engine.tap_mut(sc.client_taps[i]).drain(),
-                })
-                .collect();
-            let workers = Self::match_worker_count(cell, items.len());
-            let matched = crate::exec::fan_out(items, workers, |_, item| {
-                Self::match_session(cell, plan_rounds, item, server_parsed.as_ref())
-            });
-            for res in matched {
-                let (sid, measurements, excluded, dgram) = res?;
-                excluded_total += excluded;
-                excluded_by_session.push((sid, excluded));
-                if let Some(d) = dgram {
-                    datagram.push((sid, d));
+        for (i, sink) in clients.iter().enumerate() {
+            let sid = sc.session_id(i);
+            let rounds = &sc.session(i).result().rounds;
+            let mut excluded = 0u32;
+            if is_datagram {
+                let index = server
+                    .as_ref()
+                    .expect("datagram cells index the server tap");
+                let verdicts = sink.match_datagram_train(index, plan_rounds);
+                let d = Self::fold_datagram_session(&verdicts, plan_rounds, sid, rounds, &mut out);
+                datagram.push((sid, d));
+            } else {
+                for r in rounds {
+                    let wire = match sink.match_round(r.round) {
+                        Err(MatchError::Retransmitted) => {
+                            excluded += 1;
+                            continue;
+                        }
+                        other => other?,
+                    };
+                    if server
+                        .as_ref()
+                        .is_some_and(|ix| ix.round_retransmitted(r.round, tokens[i]))
+                    {
+                        excluded += 1;
+                        continue;
+                    }
+                    out.push(RoundMeasurement {
+                        session: sid,
+                        round: r.round,
+                        browser: *r,
+                        wire,
+                    });
                 }
-                out.extend(measurements);
             }
+            excluded_total += excluded;
+            excluded_by_session.push((sid, excluded));
         }
         let trace = sc.take_trace();
         let attribution = match &trace {
@@ -741,39 +716,18 @@ impl ExperimentRunner {
         }
     }
 
-    /// Install streaming marker sinks on a run's taps before it starts:
-    /// one [`SessionMarkerSink`] per client tap (paired with that
-    /// session's marker token) and, on the server tap, a
-    /// [`ServerMarkerIndex`] when the network can retransmit or a
-    /// [`DiscardSink`] on a clean network (whose server capture the
-    /// batch path never parses either).
-    fn install_sinks(
+    /// Take a tap's sink back out of a finished engine as the type the
+    /// run installed.
+    fn take_sink<S: CaptureSink + Default + 'static>(
         engine: &mut bnm_sim::Engine,
-        client_taps: &[bnm_sim::TapId],
-        server_tap: bnm_sim::TapId,
-        cell: &ExperimentCell,
-        rounds: u8,
-        tokens: &[u64],
-    ) {
-        for (&tap, &token) in client_taps.iter().zip(tokens) {
-            engine
-                .tap_mut(tap)
-                .set_sink(Box::new(SessionMarkerSink::new(cell.method, rounds, token)));
-        }
-        let server_sink: Box<dyn CaptureSink> = if cell.impairment.is_clean() {
-            Box::new(DiscardSink::default())
-        } else {
-            Box::new(ServerMarkerIndex::new(cell.method, rounds, tokens))
-        };
-        engine.tap_mut(server_tap).set_sink(server_sink);
-    }
-
-    /// Remove the streaming sink from a tap after the run.
-    fn take_sink(engine: &mut bnm_sim::Engine, tap: bnm_sim::TapId) -> Box<dyn CaptureSink> {
-        engine
+        tap: bnm_sim::TapId,
+    ) -> S {
+        let mut sink = engine
             .tap_mut(tap)
             .take_sink()
-            .expect("streaming tap carries a sink")
+            .expect("streaming tap carries a sink");
+        let sink = sink.as_any_mut().downcast_mut::<S>();
+        std::mem::take(sink.expect("tap carries the sink the run installed"))
     }
 
     /// Worker threads for batch-path session matching: the explicit
@@ -794,68 +748,24 @@ impl ExperimentRunner {
         }
     }
 
-    /// Match one session's drained records: parse once, then judge every
-    /// round against the parsed client capture and, when given, the
-    /// server's. Datagram methods take the per-probe path instead and
-    /// never exclude rounds.
-    fn match_session(
-        cell: &ExperimentCell,
-        plan_rounds: u8,
-        item: SessionMatchItem,
-        server_parsed: Option<&ParsedCapture>,
-    ) -> Result<(u64, Vec<RoundMeasurement>, u32, Option<DatagramSamples>), RunError> {
-        let parsed = ParsedCapture::parse_records(&item.records);
-        let mut out = Vec::with_capacity(item.rounds.len());
-        if cell.method.is_datagram() {
-            let server = server_parsed.expect("datagram matching always parses the server tap");
-            let d = Self::fold_datagram_session(
-                cell.method,
-                plan_rounds,
-                item.token,
-                item.sid,
-                &item.rounds,
-                &parsed,
-                server,
-                &mut out,
-            );
-            return Ok((item.sid, out, 0, Some(d)));
-        }
-        let excluded = judge_rounds(
-            item.sid,
-            &item.rounds,
-            |round| parsed.match_round(cell.method, round, item.token),
-            |round| {
-                server_parsed
-                    .is_some_and(|sp| sp.round_retransmitted(cell.method, round, item.token))
-            },
-            &mut out,
-        )?;
-        Ok((item.sid, out, excluded, None))
-    }
-
-    /// Appraise one session's datagram train from both taps: score
-    /// every probe's fate, emit a [`RoundMeasurement`] per delivered
-    /// probe the browser saw (arrival order, so reordering stays
-    /// visible downstream), and compute the repetition's RFC 3550
-    /// jitter twice — from wire transit pairs and from the browser's
-    /// own stamps.
-    #[allow(clippy::too_many_arguments)]
+    /// Appraise one session's datagram train from its probe verdicts:
+    /// count every probe's fate, emit a [`RoundMeasurement`] per
+    /// delivered probe the browser saw (arrival order, so reordering
+    /// stays visible downstream), and compute the repetition's RFC 3550
+    /// jitter twice — from wire transit pairs and from the browser's own
+    /// stamps.
     fn fold_datagram_session(
-        method: bnm_methods::MethodId,
+        verdicts: &[ProbeVerdict],
         train_len: u8,
-        token: u64,
         sid: u64,
-        rounds: &[bnm_browser::RoundResult],
-        client: &ParsedCapture,
-        server: &ParsedCapture,
+        rounds: &[RoundResult],
         out: &mut Vec<RoundMeasurement>,
     ) -> DatagramSamples {
-        let verdicts = match_datagram_train(client, server, method, train_len, token);
         let mut d = DatagramSamples {
             sent: u64::from(train_len),
             ..DatagramSamples::default()
         };
-        for v in &verdicts {
+        for v in verdicts {
             match v.status {
                 ProbeStatus::Delivered => d.delivered += 1,
                 ProbeStatus::LostUpstream => d.lost_upstream += 1,

@@ -54,14 +54,14 @@ pub fn match_server_round(
         };
         match rec.dir {
             CaptureDir::Rx => {
-                if rx.is_none() && contains(&payload, &req) {
+                if rx.is_none() && contains(payload, &req) {
                     rx = Some(rec.ts);
                 }
             }
             CaptureDir::Tx => {
                 // Only accept a response after the request was seen —
                 // echo transports reuse the same bytes in both directions.
-                if rx.is_some() && tx.is_none() && contains(&payload, &resp) {
+                if rx.is_some() && tx.is_none() && contains(payload, &resp) {
                     tx = Some(rec.ts);
                 }
             }

@@ -1,36 +1,31 @@
-//! Streaming capture consumption — the incremental half of the
-//! post-processing pipeline.
+//! Capture evidence: the one structure every repetition's capture
+//! matching answers from.
 //!
-//! The batch pipeline retains every delivered frame in its tap until the
-//! run ends, then parses and greps the whole trace per session
-//! ([`crate::matching::ParsedCapture`]). At crowd scale that retention
-//! *is* the peak-memory story: 1,000 sessions' page loads and probes
-//! pinned as refcounted frames defeats the frame pool entirely. The
-//! sinks here hang off [`bnm_sim::capture::CaptureBuffer`]'s streaming
-//! mode instead: each record is parsed and grepped **at capture time**,
-//! the marker evidence (a timestamp and a count per marker × direction)
-//! is folded into constant-size accumulators, and the frame drops
-//! immediately — pooled buffers recycle mid-run.
+//! A capture record is parsed ([`crate::frames::payload_of`]) and
+//! scanned **once** for the method's marker anchor (`m={label}&r=`,
+//! `pong r=` or `probe m={label} r=`). The round and token digits that
+//! follow are decoded, and the record's stamp is folded into a
+//! constant-size `HitAcc` per (token, round, marker kind, direction):
+//! the first stamp and a hit count. Client-tap round matching, the
+//! server-tap retransmission rule and the four-quadrant datagram verdict
+//! all read those accumulators, so matching costs one pass over each
+//! tap, whatever the crowd size.
 //!
-//! Bit-parity with the batch path is the design constraint, not an
-//! afterthought:
+//! When the records arrive is the caller's choice. Installed as a tap's
+//! [`CaptureSink`], the evidence folds at capture time and frames recycle
+//! through the pool mid-run (streaming). Fed from a tap's drained
+//! records after the run, it folds the same records in the same order
+//! (batch). Both give the same evidence: the tap stamps records
+//! identically in both modes (same noise RNG stream, same monotonicity
+//! clamp, same snaplen truncation).
 //!
-//! * the tap stamps records identically in both modes (same noise RNG
-//!   stream, same monotonicity clamp) — the sink sees the exact records
-//!   a retaining tap would store;
-//! * [`SessionMarkerSink`] applies the *same* payload extraction
-//!   ([`crate::frames::payload_of`]) and substring test
-//!   ([`crate::frames::contains`]) as `ParsedCapture::hits`, and its
-//!   [`SessionMarkerSink::match_round`] replays the exact decision
-//!   order of `ParsedCapture::match_round`;
-//! * [`ServerMarkerIndex`] replicates `contains`' semantics *exactly*,
-//!   including the subtle one: an HTTP request marker
-//!   (`m={label}&r={round}&t={token}`, no terminator) hits every record
-//!   whose digit run has the token's decimal form as a **byte prefix**
-//!   — token `1` matches a frame carrying token `10`. The index
-//!   preserves that by structured prefix scanning rather than by
-//!   assuming well-formed tokens, so the streaming retransmission check
-//!   answers identically to a full second parse.
+//! The scan-based [`crate::matching::ParsedCapture`] is the oracle.
+//! [`ServerMarkerIndex`] reproduces `contains`' semantics *exactly*,
+//! including the subtle one: an HTTP request marker
+//! (`m={label}&r={round}&t={token}`, no terminator) hits every record
+//! whose digit run has the token's decimal form as a **byte prefix** —
+//! token `1` matches a frame carrying token `10`. Every marker counts
+//! at most once per record, as `contains` is a per-record test.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -40,53 +35,192 @@ use bnm_sim::capture::{CaptureDir, CaptureSink};
 use bnm_sim::time::SimTime;
 use bytes::Bytes;
 
-use crate::frames::{contains, payload_of};
-use crate::matching::{request_marker, response_marker, MatchError, WireTimes};
+use crate::frames::{occurrences, payload_of};
+use crate::matching::{
+    judge_round, judge_train, HitAcc, MatchError, ProbeEvidence, ProbeVerdict, WireTimes,
+};
 
-/// Constant-size accumulator for one marker × direction: everything
-/// `ParsedCapture::hits` feeds into `match_round` — the first hit's
-/// stamp and the hit count (a count above one is already a
-/// retransmission regardless of how far above).
-#[derive(Debug, Clone, Copy, Default)]
-struct HitAcc {
-    count: u32,
-    first: Option<SimTime>,
+/// Quadrant of a (token, round) slot's evidence: `[req_tx, req_rx,
+/// resp_tx, resp_rx]`.
+fn quadrant(is_resp: bool, dir: CaptureDir) -> usize {
+    (usize::from(is_resp) << 1) | usize::from(dir == CaptureDir::Rx)
 }
 
-impl HitAcc {
-    fn note(&mut self, ts: SimTime) {
-        self.count += 1;
-        if self.first.is_none() {
-            self.first = Some(ts);
+/// Marker evidence for a set of sessions' tokens, folded one record at a
+/// time. The server tap's sink; every client tap carries one through
+/// [`SessionMarkerSink`].
+///
+/// Per record the work is one scan per marker anchor plus a lookup per
+/// anchor occurrence, independent of how many sessions and rounds are
+/// registered; every query is then a lookup.
+#[derive(Debug, Default)]
+pub struct ServerMarkerIndex {
+    /// `m={label}&r=` (HTTP) or `probe m={label} r=` (echo transports).
+    req_anchor: Vec<u8>,
+    /// `pong r=` for HTTP methods. `None` for echo transports, whose
+    /// response marker is the request marker: the request quadrants
+    /// then stand for both.
+    resp_anchor: Option<Vec<u8>>,
+    /// Registered rounds are `1..=rounds`.
+    rounds: u8,
+    /// Registered token → slot (`slot * rounds` indexes `hits`).
+    tokens: HashMap<u64, u32>,
+    /// Shortest and longest decimal form of a registered token.
+    token_digits: (usize, usize),
+    /// Four quadrants per (token slot × round).
+    hits: Vec<[HitAcc; 4]>,
+    /// Per-record scratch of `(slot, round, is_resp)` hits, deduplicated
+    /// before folding.
+    seen: Vec<(u32, u8, bool)>,
+}
+
+impl ServerMarkerIndex {
+    /// An index for `rounds` rounds of `method` probes from the sessions
+    /// whose marker tokens are `tokens`.
+    pub fn new(method: MethodId, rounds: u8, tokens: &[u64]) -> ServerMarkerIndex {
+        let (req_anchor, resp_anchor) = if method.is_http_based() {
+            (
+                format!("m={}&r=", method.label()),
+                Some(b"pong r=".to_vec()),
+            )
+        } else {
+            (format!("probe m={} r=", method.label()), None)
+        };
+        let digits = tokens.iter().map(|t| t.to_string().len());
+        ServerMarkerIndex {
+            req_anchor: req_anchor.into_bytes(),
+            resp_anchor,
+            rounds,
+            tokens: tokens.iter().zip(0..).map(|(&t, i)| (t, i)).collect(),
+            token_digits: (digits.clone().min().unwrap_or(1), digits.max().unwrap_or(0)),
+            hits: vec![[HitAcc::default(); 4]; tokens.len() * usize::from(rounds)],
+            seen: Vec::new(),
+        }
+    }
+
+    /// The evidence of one marker kind in one direction.
+    fn acc(&self, round: u8, token: u64, is_resp: bool, dir: CaptureDir) -> HitAcc {
+        let is_resp = is_resp && self.resp_anchor.is_some();
+        self.slot(round, token)
+            .map_or_else(HitAcc::default, |q| q[quadrant(is_resp, dir)])
+    }
+
+    fn slot(&self, round: u8, token: u64) -> Option<&[HitAcc; 4]> {
+        let &slot = self.tokens.get(&token)?;
+        let ri = usize::from(round.checked_sub(1).filter(|&r| r < self.rounds)?);
+        self.hits.get(slot as usize * usize::from(self.rounds) + ri)
+    }
+
+    /// `ParsedCapture::round_retransmitted`, answered from the index:
+    /// whether either of the round's markers hit more than one record
+    /// in any one direction.
+    pub fn round_retransmitted(&self, round: u8, token: u64) -> bool {
+        self.slot(round, token)
+            .is_some_and(|q| q.iter().any(|h| h.count > 1))
+    }
+
+    /// Fold one record's payload: every (token, round, kind) whose
+    /// marker it carries gets one hit in `dir`.
+    fn fold(&mut self, ts: SimTime, dir: CaptureDir, payload: &[u8]) {
+        let ServerMarkerIndex {
+            req_anchor,
+            resp_anchor,
+            rounds,
+            tokens,
+            token_digits: (shortest, longest),
+            seen,
+            ..
+        } = self;
+        let mut scan = |anchor: &[u8], sep: &[u8], open_ended: bool, is_resp: bool| {
+            for at in occurrences(payload, anchor) {
+                let rest = &payload[at + anchor.len()..];
+                let n = digit_run(rest);
+                let Some(round) =
+                    canonical(&rest[..n]).filter(|r| (1..=u64::from(*rounds)).contains(r))
+                else {
+                    continue;
+                };
+                let Some(rest) = rest[n..].strip_prefix(sep) else {
+                    continue;
+                };
+                let n = digit_run(rest);
+                let mut hit = |digits: &[u8]| {
+                    let slot = canonical(digits).and_then(|t| tokens.get(&t));
+                    if let Some(&slot) = slot {
+                        seen.push((slot, round as u8, is_resp));
+                    }
+                };
+                if open_ended {
+                    // Token T hits iff T's decimal form is a byte prefix
+                    // of the digit run: walk the run's prefixes as long
+                    // as a registered token's.
+                    (*shortest..=n.min(*longest)).for_each(|k| hit(&rest[..k]));
+                } else if rest.get(n) == Some(&b' ') {
+                    hit(&rest[..n]);
+                }
+            }
+        };
+        // HTTP requests end at the token (`m=…&r=R&t=T`), so a token
+        // matches by decimal prefix; every other marker is
+        // space-terminated and matches its whole digit run.
+        if let Some(resp) = resp_anchor {
+            scan(req_anchor, b"&t=", true, false);
+            scan(resp, b" t=", false, true);
+        } else {
+            scan(req_anchor, b" t=", false, false);
+        }
+        seen.sort_unstable();
+        seen.dedup();
+        let per_token = usize::from(self.rounds);
+        for (slot, round, is_resp) in self.seen.drain(..) {
+            let i = slot as usize * per_token + usize::from(round - 1);
+            self.hits[i][quadrant(is_resp, dir)].note(ts);
         }
     }
 }
 
-/// Per-round marker evidence for one session's client-side tap.
-#[derive(Debug, Clone)]
-struct RoundHits {
-    round: u8,
-    /// Full request marker bytes (needle for `contains`).
-    req: Vec<u8>,
-    /// Full response marker bytes.
-    resp: Vec<u8>,
-    /// Tx records carrying the request marker.
-    req_tx: HitAcc,
-    /// Rx records carrying the response marker.
-    resp_rx: HitAcc,
+/// Length of the ASCII digit run `bytes` starts with.
+fn digit_run(bytes: &[u8]) -> usize {
+    bytes.iter().take_while(|b| b.is_ascii_digit()).count()
 }
 
-/// Streaming replacement for parsing a *client* tap after the run: greps
-/// each record for the session's round markers as it is captured.
+/// The value of a digit run written the way `u64`'s `Display` writes
+/// it: non-empty, no leading zero (except `0` itself), no overflow.
+fn canonical(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() || (digits.len() > 1 && digits[0] == b'0') {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |v, &d| {
+        v.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+    })
+}
+
+impl CaptureSink for ServerMarkerIndex {
+    fn on_record(&mut self, ts: SimTime, dir: CaptureDir, frame: &Bytes) {
+        if let Some(payload) = payload_of(frame) {
+            self.fold(ts, dir, payload);
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// One session's client-tap evidence: a [`ServerMarkerIndex`] over the
+/// session's one token.
 ///
-/// Matching semantics are identical to
-/// `ParsedCapture::parse` + `match_round` — same payload extraction,
-/// same substring test, same error precedence — asserted against the
-/// batch matcher by the tests below and by `tests/streaming_parity.rs`
-/// on full scenario runs.
-#[derive(Debug)]
+/// Its answers are `ParsedCapture::parse` + `match_round` /
+/// `match_datagram_train`'s exactly — same payload extraction, same
+/// substring semantics, same decision order — asserted against the scan
+/// by the tests below, `tests/properties.rs` and
+/// `tests/streaming_parity.rs`.
+#[derive(Debug, Default)]
 pub struct SessionMarkerSink {
-    rounds: Vec<RoundHits>,
+    index: ServerMarkerIndex,
+    token: u64,
     /// Records seen (diagnostics only).
     records: u64,
 }
@@ -96,15 +230,8 @@ impl SessionMarkerSink {
     /// `token` (the session's composite marker token).
     pub fn new(method: MethodId, rounds: u8, token: u64) -> SessionMarkerSink {
         SessionMarkerSink {
-            rounds: (1..=rounds)
-                .map(|r| RoundHits {
-                    round: r,
-                    req: request_marker(method, r, token),
-                    resp: response_marker(method, r, token),
-                    req_tx: HitAcc::default(),
-                    resp_rx: HitAcc::default(),
-                })
-                .collect(),
+            index: ServerMarkerIndex::new(method, rounds, &[token]),
+            token,
             records: 0,
         }
     }
@@ -112,25 +239,25 @@ impl SessionMarkerSink {
     /// `ParsedCapture::match_round`, answered from the accumulated
     /// evidence: same checks, same order.
     pub fn match_round(&self, round: u8) -> Result<WireTimes, MatchError> {
-        let h = self
-            .rounds
-            .iter()
-            .find(|h| h.round == round)
-            .ok_or(MatchError::RequestNotFound)?;
-        if h.req_tx.count > 1 || h.resp_rx.count > 1 {
-            return Err(MatchError::Retransmitted);
-        }
-        match (h.req_tx.first, h.resp_rx.first) {
-            (None, _) => Err(MatchError::RequestNotFound),
-            (_, None) => Err(MatchError::ResponseNotFound),
-            (Some(s), Some(r)) => {
-                if r < s {
-                    Err(MatchError::OutOfOrder)
-                } else {
-                    Ok(WireTimes { tn_s: s, tn_r: r })
-                }
-            }
-        }
+        let acc = |is_resp, dir| self.index.acc(round, self.token, is_resp, dir);
+        judge_round(acc(false, CaptureDir::Tx), acc(true, CaptureDir::Rx))
+    }
+
+    /// `match_datagram_train` over this client tap and the `server`
+    /// tap's index: the probe marker's four quadrants per sequence
+    /// number, judged in the same order.
+    pub fn match_datagram_train(
+        &self,
+        server: &ServerMarkerIndex,
+        train_len: u8,
+    ) -> Vec<ProbeVerdict> {
+        let t = self.token;
+        judge_train(train_len, |seq| ProbeEvidence {
+            probe_tx: self.index.acc(seq, t, false, CaptureDir::Tx),
+            probe_at_server: server.acc(seq, t, false, CaptureDir::Rx),
+            echo_tx: server.acc(seq, t, false, CaptureDir::Tx),
+            echo_rx: self.index.acc(seq, t, false, CaptureDir::Rx),
+        })
     }
 
     /// Records this sink observed.
@@ -142,275 +269,7 @@ impl SessionMarkerSink {
 impl CaptureSink for SessionMarkerSink {
     fn on_record(&mut self, ts: SimTime, dir: CaptureDir, frame: &Bytes) {
         self.records += 1;
-        let Some(payload) = payload_of(frame) else {
-            return;
-        };
-        for h in &mut self.rounds {
-            match dir {
-                CaptureDir::Tx => {
-                    if contains(&payload, &h.req) {
-                        h.req_tx.note(ts);
-                    }
-                }
-                CaptureDir::Rx => {
-                    if contains(&payload, &h.resp) {
-                        h.resp_rx.note(ts);
-                    }
-                }
-            }
-        }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Marker kinds a server-side record can evidence. The order indexes
-/// the per-slot counter array: `[req_tx, req_rx, resp_tx, resp_rx]`.
-const KIND_DIRS: usize = 4;
-
-fn kind_dir_index(is_resp: bool, dir: CaptureDir) -> usize {
-    (usize::from(is_resp) << 1) | usize::from(dir == CaptureDir::Rx)
-}
-
-/// One round's scan patterns for the server index.
-#[derive(Debug, Clone)]
-struct RoundPatterns {
-    round: u8,
-    /// Request-marker prefix up to (excluding) the token digits.
-    req_prefix: Vec<u8>,
-    /// Whether the request marker ends at the token with **no**
-    /// terminator (HTTP methods) — token matching is then by decimal
-    /// byte prefix, `contains`' ambiguity preserved. Space-terminated
-    /// markers match the whole digit run exactly, followed by a space.
-    req_is_open_ended: bool,
-    /// Response-marker prefix; `None` when the response marker equals
-    /// the request marker (echo transports), in which case the request
-    /// counters stand for both.
-    resp_prefix: Option<Vec<u8>>,
-}
-
-/// Streaming replacement for the *second full parse* of the server tap
-/// under impairment: an incremental per-direction marker index.
-///
-/// The batch path answers "was any marker of (round, token) seen more
-/// than once in one direction of the server capture?" by re-grepping
-/// the entire retained trace per session × round — O(sessions × rounds
-/// × frames) over a capture that grows with the whole crowd's traffic.
-/// This index instead scans each record once at capture time for the
-/// per-round marker *prefixes* (session-count-independent work), decodes
-/// the token digits that follow, and bumps a counter per
-/// `(session, round, marker, direction)`. [`ServerMarkerIndex::round_retransmitted`]
-/// is then an O(1) lookup.
-#[derive(Debug)]
-pub struct ServerMarkerIndex {
-    patterns: Vec<RoundPatterns>,
-    /// Registered token → slot base (`slot * rounds` indexes `counts`).
-    tokens: HashMap<u64, u32>,
-    /// Decimal forms of the registered tokens, for byte-prefix checks.
-    token_digits: Vec<Vec<u8>>,
-    /// `[req_tx, req_rx, resp_tx, resp_rx]` per (token slot × round).
-    counts: Vec<[u32; KIND_DIRS]>,
-    rounds: usize,
-    /// Scratch for per-record dedup: `contains` is a per-record boolean,
-    /// so two occurrences of one marker inside one payload count once.
-    seen_scratch: Vec<(u32, usize)>,
-}
-
-impl ServerMarkerIndex {
-    /// An index for `rounds` rounds of `method` probes from the sessions
-    /// whose marker tokens are `tokens`.
-    pub fn new(method: MethodId, rounds: u8, tokens: &[u64]) -> ServerMarkerIndex {
-        let patterns = (1..=rounds)
-            .map(|r| {
-                if method.is_http_based() {
-                    RoundPatterns {
-                        round: r,
-                        req_prefix: format!("m={}&r={}&t=", method.label(), r).into_bytes(),
-                        req_is_open_ended: true,
-                        resp_prefix: Some(format!("pong r={} t=", r).into_bytes()),
-                    }
-                } else {
-                    RoundPatterns {
-                        round: r,
-                        req_prefix: format!("probe m={} r={} t=", method.label(), r).into_bytes(),
-                        req_is_open_ended: false,
-                        resp_prefix: None,
-                    }
-                }
-            })
-            .collect();
-        let token_map: HashMap<u64, u32> = tokens
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i as u32))
-            .collect();
-        ServerMarkerIndex {
-            patterns,
-            token_digits: tokens.iter().map(|t| t.to_string().into_bytes()).collect(),
-            counts: vec![[0; KIND_DIRS]; tokens.len() * rounds as usize],
-            rounds: rounds as usize,
-            tokens: token_map,
-            seen_scratch: Vec::new(),
-        }
-    }
-
-    /// `ParsedCapture::round_retransmitted`, answered from the index:
-    /// whether either of the round's markers hit more than one record
-    /// in any one direction.
-    pub fn round_retransmitted(&self, round: u8, token: u64) -> bool {
-        let Some(&slot) = self.tokens.get(&token) else {
-            return false;
-        };
-        let Some(ri) = self.patterns.iter().position(|p| p.round == round) else {
-            return false;
-        };
-        self.counts[slot as usize * self.rounds + ri]
-            .iter()
-            .any(|&c| c > 1)
-    }
-}
-
-/// Note marker occurrences for the digit run following a prefix
-/// occurrence at `digits_at` in `payload`.
-///
-/// A free function over the index's *disjoint* fields (token lookup
-/// tables in, dedup scratch out) so [`ServerMarkerIndex::on_record`]
-/// can call it from inside a [`find_all`] closure while iterating the
-/// patterns by shared reference — no per-record needle clones or
-/// occurrence-site buffers.
-#[allow(clippy::too_many_arguments)] // disjoint-borrow split of &mut self
-fn note_occurrence(
-    tokens: &HashMap<u64, u32>,
-    token_digits: &[Vec<u8>],
-    seen_scratch: &mut Vec<(u32, usize)>,
-    payload: &[u8],
-    digits_at: usize,
-    round_idx: usize,
-    open_ended: bool,
-    is_resp: bool,
-) {
-    let rest = &payload[digits_at.min(payload.len())..];
-    let run_len = rest.iter().take_while(|b| b.is_ascii_digit()).count();
-    if run_len == 0 {
-        return;
-    }
-    if open_ended {
-        // No terminator in the needle: token T hits iff T's decimal
-        // form is a byte prefix of the digit run — exactly where
-        // `contains(payload, prefix + digits(T))` succeeds. Walking
-        // the run's prefixes and looking each up covers every
-        // registered token that matches, without O(sessions) work.
-        for k in 1..=run_len.min(20) {
-            let sub = &rest[..k];
-            // Registered tokens are canonical decimal (no leading
-            // zeros except "0" itself), so a zero-led sub-run can
-            // only be token 0 at k == 1.
-            if k > 1 && sub[0] == b'0' {
-                break;
-            }
-            let Some(tok) = parse_u64(sub) else { break };
-            if let Some(&slot) = tokens.get(&tok) {
-                seen_scratch.push((slot, round_idx * 2 + usize::from(is_resp)));
-            }
-        }
-    } else {
-        // The needle ends with a space: the whole digit run must be
-        // the token's decimal form and the next byte a space.
-        if rest.get(run_len) != Some(&b' ') {
-            return;
-        }
-        let Some(tok) = parse_u64(&rest[..run_len]) else {
-            return;
-        };
-        if let Some(&slot) = tokens.get(&tok) {
-            // Exact-match needles can't hit a non-canonical run.
-            if token_digits[slot as usize] == rest[..run_len] {
-                seen_scratch.push((slot, round_idx * 2 + usize::from(is_resp)));
-            }
-        }
-    }
-}
-
-/// Checked decimal parse of an ASCII digit slice.
-fn parse_u64(digits: &[u8]) -> Option<u64> {
-    let mut v: u64 = 0;
-    for &d in digits {
-        v = v.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
-    }
-    Some(v)
-}
-
-/// All start positions of `needle` in `haystack` (naive scan — payloads
-/// are single frames and needles are short fixed prefixes).
-fn find_all(haystack: &[u8], needle: &[u8], mut f: impl FnMut(usize)) {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return;
-    }
-    for (i, w) in haystack.windows(needle.len()).enumerate() {
-        if w == needle {
-            f(i);
-        }
-    }
-}
-
-impl CaptureSink for ServerMarkerIndex {
-    fn on_record(&mut self, _ts: SimTime, dir: CaptureDir, frame: &Bytes) {
-        let Some(payload) = payload_of(frame) else {
-            return;
-        };
-        debug_assert!(self.seen_scratch.is_empty());
-        // Split the borrow: patterns iterate shared while the dedup
-        // scratch fills — no per-record needle clones or site buffers.
-        let ServerMarkerIndex {
-            patterns,
-            tokens,
-            token_digits,
-            seen_scratch,
-            ..
-        } = self;
-        for (ri, p) in patterns.iter().enumerate() {
-            find_all(&payload, &p.req_prefix, |i| {
-                note_occurrence(
-                    tokens,
-                    token_digits,
-                    seen_scratch,
-                    &payload,
-                    i + p.req_prefix.len(),
-                    ri,
-                    p.req_is_open_ended,
-                    false,
-                );
-            });
-            if let Some(rp) = &p.resp_prefix {
-                find_all(&payload, rp, |i| {
-                    note_occurrence(
-                        tokens,
-                        token_digits,
-                        seen_scratch,
-                        &payload,
-                        i + rp.len(),
-                        ri,
-                        false,
-                        true,
-                    );
-                });
-            }
-        }
-        // `contains` is per-record: dedup before counting so multiple
-        // occurrences of one marker in one payload count as one hit.
-        let mut seen = std::mem::take(&mut self.seen_scratch);
-        seen.sort_unstable();
-        seen.dedup();
-        for (slot, round_resp) in seen.drain(..) {
-            let (ri, is_resp) = (round_resp / 2, round_resp % 2 == 1);
-            let idx = kind_dir_index(is_resp, dir);
-            self.counts[slot as usize * self.rounds + ri][idx] += 1;
-        }
-        self.seen_scratch = seen;
+        self.index.on_record(ts, dir, frame);
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -421,8 +280,8 @@ impl CaptureSink for ServerMarkerIndex {
 }
 
 /// A sink that drops every record unexamined — for taps whose contents
-/// the pipeline never reads (the server tap of a clean cell, whose
-/// batch path never parses it either) while still recycling frames.
+/// the pipeline never reads (the server tap of a clean reliable cell)
+/// while still recycling frames.
 #[derive(Debug, Default)]
 pub struct DiscardSink {
     records: u64,

@@ -151,31 +151,22 @@ fn outcome_cells(r: &CellResult) -> Vec<Value> {
 
 /// Δd vs concurrent clients: every target at every [`ContentionSpec`]
 /// point. Columns: `cell`, `clients`, `rate_mbps` (the shared server
-/// link), the outcome columns, then the frame pool's live-buffer
-/// high-water mark and fresh allocations for that cell
-/// (`pool_live_peak`, `pool_allocated`; the peak sums per-worker peaks,
-/// see [`crate::exec::ExecStats::pool`]).
+/// link), then the outcome columns.
 pub fn contend(targets: &[CellBuilder], points: &[ContentionSpec]) -> Result<Table, RunError> {
     let cells = grid(targets, points, |t, &p| t.contention(p))?;
-    let columns = format!("cell,clients,rate_mbps,{OUTCOME_COLUMNS},pool_live_peak,pool_allocated");
+    let columns = format!("cell,clients,rate_mbps,{OUTCOME_COLUMNS}");
     let mut table = table("Δd vs concurrent clients", &columns);
-    for cell in &cells {
-        // One batch per cell, so the pool counters are the cell's own.
-        let (results, stats) = Executor::new().run_with_stats(std::slice::from_ref(cell), |_| {});
-        for r in results {
-            let rate = cell
-                .server_link_rate_bps
-                .unwrap_or(LinkSpec::fast_ethernet().rate_bps);
-            let mut row = vec![
-                Value::Text(cell.label()),
-                Value::Int(cell.clients.into()),
-                Value::Num(rate as f64 / 1e6),
-            ];
-            row.extend(outcome_cells(&r?));
-            row.push(Value::Int(stats.pool.live_peak));
-            row.push(Value::Int(stats.pool.allocated as i64));
-            table.row(row);
-        }
+    for (cell, r) in cells.iter().zip(Executor::new().run(&cells)) {
+        let rate = cell
+            .server_link_rate_bps
+            .unwrap_or(LinkSpec::fast_ethernet().rate_bps);
+        let mut row = vec![
+            Value::Text(cell.label()),
+            Value::Int(cell.clients.into()),
+            Value::Num(rate as f64 / 1e6),
+        ];
+        row.extend(outcome_cells(&r?));
+        table.row(row);
     }
     Ok(table)
 }

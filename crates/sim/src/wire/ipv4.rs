@@ -88,6 +88,25 @@ impl Ipv4Packet {
 
     /// Parse and verify the header checksum and length fields.
     pub fn parse(data: &[u8]) -> Result<Ipv4Packet, WireError> {
+        let (ihl, total_len) = Self::check(data)?;
+        let ident = u16::from_be_bytes([data[4], data[5]]);
+        let ttl = data[8];
+        let protocol = IpProtocol::from_value(data[9]);
+        let src = Ipv4Addr::new(data[12], data[13], data[14], data[15]);
+        let dst = Ipv4Addr::new(data[16], data[17], data[18], data[19]);
+        Ok(Ipv4Packet {
+            src,
+            dst,
+            protocol,
+            ttl,
+            ident,
+            payload: Bytes::copy_from_slice(&data[ihl..total_len]),
+        })
+    }
+
+    /// The header length and total length of a packet that passes every
+    /// check [`Self::parse`] makes; the payload is `data[ihl..total_len]`.
+    pub(crate) fn check(data: &[u8]) -> Result<(usize, usize), WireError> {
         if data.len() < HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -105,19 +124,7 @@ impl Ipv4Packet {
         if !checksum::verify(checksum::sum(0, &data[..ihl])) {
             return Err(WireError::BadChecksum);
         }
-        let ident = u16::from_be_bytes([data[4], data[5]]);
-        let ttl = data[8];
-        let protocol = IpProtocol::from_value(data[9]);
-        let src = Ipv4Addr::new(data[12], data[13], data[14], data[15]);
-        let dst = Ipv4Addr::new(data[16], data[17], data[18], data[19]);
-        Ok(Ipv4Packet {
-            src,
-            dst,
-            protocol,
-            ttl,
-            ident,
-            payload: Bytes::copy_from_slice(&data[ihl..total_len]),
-        })
+        Ok((ihl, total_len))
     }
 
     /// Length of the emitted packet.

@@ -21,6 +21,7 @@ pub use tcp::{TcpFlags, TcpSegment};
 pub use udp::UdpDatagram;
 
 use std::fmt;
+use std::net::Ipv4Addr;
 
 /// Errors raised while parsing or emitting wire formats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,6 +92,27 @@ impl ParsedPacket {
             IpProtocol::Other(p) => Transport::Other(p),
         };
         Ok(ParsedPacket { eth, ip, transport })
+    }
+
+    /// The TCP or UDP payload of `frame`, borrowed from it: exactly the
+    /// bytes [`Self::parse`] copies into the segment or datagram, and
+    /// `None` wherever `parse` fails or finds another transport. The
+    /// header checks are `parse`'s own; only the copies are skipped.
+    pub fn transport_payload(frame: &[u8]) -> Option<&[u8]> {
+        let ether = frame.get(12..ethernet::HEADER_LEN)?;
+        if EtherType::from_value(u16::from_be_bytes([ether[0], ether[1]])) != EtherType::Ipv4 {
+            return None;
+        }
+        let ip = &frame[ethernet::HEADER_LEN..];
+        let (ihl, total_len) = Ipv4Packet::check(ip).ok()?;
+        let src = Ipv4Addr::new(ip[12], ip[13], ip[14], ip[15]);
+        let dst = Ipv4Addr::new(ip[16], ip[17], ip[18], ip[19]);
+        let seg = &ip[ihl..total_len];
+        match IpProtocol::from_value(ip[9]) {
+            IpProtocol::Tcp => Some(&seg[TcpSegment::check(seg, src, dst).ok()?.0..]),
+            IpProtocol::Udp => Some(&seg[udp::HEADER_LEN..UdpDatagram::check(seg, src, dst).ok()?]),
+            IpProtocol::Icmp | IpProtocol::Other(_) => None,
+        }
     }
 
     /// The TCP segment, if this packet carries one.

@@ -126,6 +126,26 @@ impl TcpSegment {
 
     /// Parse and verify the checksum against the pseudo-header.
     pub fn parse(data: &[u8], src_ip: Ipv4Addr, dst_ip: Ipv4Addr) -> Result<TcpSegment, WireError> {
+        let (data_offset, mss) = Self::check(data, src_ip, dst_ip)?;
+        Ok(TcpSegment {
+            src_port: u16::from_be_bytes([data[0], data[1]]),
+            dst_port: u16::from_be_bytes([data[2], data[3]]),
+            seq: u32::from_be_bytes([data[4], data[5], data[6], data[7]]),
+            ack: u32::from_be_bytes([data[8], data[9], data[10], data[11]]),
+            flags: TcpFlags(data[13]),
+            window: u16::from_be_bytes([data[14], data[15]]),
+            mss,
+            payload: Bytes::copy_from_slice(&data[data_offset..]),
+        })
+    }
+
+    /// The data offset and MSS option of a segment that passes every
+    /// check [`Self::parse`] makes; the payload is `data[data_offset..]`.
+    pub(crate) fn check(
+        data: &[u8],
+        src_ip: Ipv4Addr,
+        dst_ip: Ipv4Addr,
+    ) -> Result<(usize, Option<u16>), WireError> {
         if data.len() < HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -138,12 +158,6 @@ impl TcpSegment {
         if !checksum::verify(acc) {
             return Err(WireError::BadChecksum);
         }
-        let src_port = u16::from_be_bytes([data[0], data[1]]);
-        let dst_port = u16::from_be_bytes([data[2], data[3]]);
-        let seq = u32::from_be_bytes([data[4], data[5], data[6], data[7]]);
-        let ack = u32::from_be_bytes([data[8], data[9], data[10], data[11]]);
-        let flags = TcpFlags(data[13]);
-        let window = u16::from_be_bytes([data[14], data[15]]);
         let mut mss = None;
         let mut opts = &data[HEADER_LEN..data_offset];
         while !opts.is_empty() {
@@ -170,16 +184,7 @@ impl TcpSegment {
                 }
             }
         }
-        Ok(TcpSegment {
-            src_port,
-            dst_port,
-            seq,
-            ack,
-            flags,
-            window,
-            mss,
-            payload: Bytes::copy_from_slice(&data[data_offset..]),
-        })
+        Ok((data_offset, mss))
     }
 
     /// Sequence-number footprint of this segment (payload + SYN/FIN).

@@ -47,6 +47,21 @@ impl UdpDatagram {
         src_ip: Ipv4Addr,
         dst_ip: Ipv4Addr,
     ) -> Result<UdpDatagram, WireError> {
+        let len = Self::check(data, src_ip, dst_ip)?;
+        Ok(UdpDatagram {
+            src_port: u16::from_be_bytes([data[0], data[1]]),
+            dst_port: u16::from_be_bytes([data[2], data[3]]),
+            payload: Bytes::copy_from_slice(&data[HEADER_LEN..len]),
+        })
+    }
+
+    /// The length field of a datagram that passes every check
+    /// [`Self::parse`] makes; the payload is `data[HEADER_LEN..len]`.
+    pub(crate) fn check(
+        data: &[u8],
+        src_ip: Ipv4Addr,
+        dst_ip: Ipv4Addr,
+    ) -> Result<usize, WireError> {
         if data.len() < HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -62,11 +77,7 @@ impl UdpDatagram {
                 return Err(WireError::BadChecksum);
             }
         }
-        Ok(UdpDatagram {
-            src_port: u16::from_be_bytes([data[0], data[1]]),
-            dst_port: u16::from_be_bytes([data[2], data[3]]),
-            payload: Bytes::copy_from_slice(&data[HEADER_LEN..len]),
-        })
+        Ok(len)
     }
 }
 

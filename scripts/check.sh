@@ -55,9 +55,10 @@ cargo test -q --test scenario_parity
 
 # The streaming post-processing pipeline's guarantees: streaming
 # capture consumption and parallel per-session matching are both
-# bit-identical to the batch/serial paths, bounded retention sketches
-# stay within their error bound, and the frame pool's high-water mark
-# stays flat per client.
+# bit-identical to the batch/serial paths, for reliable and WebRTC
+# datagram cells alike (both feed one marker index; datagram samples
+# included), bounded retention sketches stay within their error bound,
+# and the frame pool's high-water mark stays flat per client.
 echo "==> cargo test -q --test streaming_parity"
 cargo test -q --test streaming_parity
 
@@ -68,10 +69,11 @@ cargo test -q --test streaming_parity
 echo "==> cargo test -q --test monitor_parity"
 cargo test -q --test monitor_parity
 
-# The datagram (WebRTC) method's guarantees: per-probe verdicts match
-# the wire-truth capture counts exactly, measured loss tracks the
-# injected rate instead of excluding rounds, attribution closes the Δd
-# budget on delivered probes, and datagram cells keep the executor's
+# The datagram (WebRTC) method's guarantees: per-probe verdicts, read
+# from the marker index, match the wire-truth marker counts of a full
+# scan of both rebuilt taps exactly, measured loss tracks the injected
+# rate instead of excluding rounds, attribution closes the Δd budget on
+# delivered probes, and datagram cells keep the executor's
 # serial/parallel bit parity.
 echo "==> cargo test -q --test webrtc_parity"
 cargo test -q --test webrtc_parity
@@ -106,6 +108,22 @@ if [[ $quick -eq 0 && $fast -eq 0 ]]; then
   rows=$(printf '%s\n' "$smoke_csv" | wc -l)
   if [[ $rows -lt 4 ]]; then
     echo "contend smoke produced $rows rows, expected >= 4" >&2
+    exit 1
+  fi
+
+  # Datagram crowd smoke: WebRTC at 1..64 clients on a 2 Mb/s link, one
+  # rep — seven tiers, every one with probes on the wire. Datagram
+  # matching is linear in clients, so this takes well under a second.
+  echo "==> datagram crowd smoke: contend webrtc, 64 clients"
+  dgram_csv=$(./target/release/bnm contend --method webrtc --clients 64 --rate-mbps 2 --reps 1 --format csv)
+  rows=$(($(printf '%s\n' "$dgram_csv" | wc -l) - 1))
+  if [[ $rows -lt 7 ]]; then
+    echo "datagram crowd smoke printed $rows data rows, expected >= 7" >&2
+    exit 1
+  fi
+  sent_col=$(printf '%s\n' "$dgram_csv" | head -1 | tr ',' '\n' | grep -nx dgram_sent | cut -d: -f1)
+  if [[ -z $sent_col ]] || printf '%s\n' "$dgram_csv" | tail -n +2 | cut -d, -f"$sent_col" | grep -qvE '^[1-9][0-9]*$'; then
+    echo "datagram crowd smoke: a row has no dgram_sent > 0" >&2
     exit 1
   fi
 

@@ -312,8 +312,8 @@ fn cmd_webrtc(flags: &Flags) -> Result<(), RunError> {
 fn cmd_serve(flags: &Flags) -> Result<(), RunError> {
     if flags.method(MethodId::XhrGet).is_datagram() {
         eprintln!(
-            "serve drives streaming marker sinks, which cannot recover \
-             per-probe one-way delays; use `bnm webrtc` for datagram methods"
+            "serve's windows fold Δd only, not per-probe loss or one-way \
+             delays; use `bnm webrtc` for datagram methods"
         );
         std::process::exit(2);
     }

@@ -1,12 +1,15 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants: wire codecs, checksums, WebSocket framing, base64/SHA-1,
-//! sequence arithmetic, buffers, statistics, delay models, clocks.
+//! sequence arithmetic, buffers, statistics, delay models, clocks, and
+//! capture evidence (the substring kernel, and the marker index against
+//! the full capture scan).
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 use bnm::http::websocket::{accept_key, base64, frame::Frame, frame::FrameDecoder, frame::Opcode};
+use bnm::methods::MethodId;
 use bnm::sim::time::{SimDuration, SimTime};
 use bnm::sim::wire::{
     EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, ParsedPacket, TcpFlags, TcpSegment,
@@ -500,5 +503,273 @@ proptest! {
         prop_assert_eq!(plain.d2, shaped.d2);
         prop_assert_eq!(plain.measurements, shaped.measurements);
         prop_assert_eq!(plain.link, shaped.link);
+    }
+}
+
+// ---------- capture evidence ----------
+
+/// A SplitMix64 stream, so one sampled word can shape a whole record.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Marker tokens whose decimal forms prefix one another, plus the
+/// composite-token shapes sessions use (`sid << 32 | rep`).
+const TOKENS: [u64; 8] = [0, 1, 7, 10, 12, 100, 1 << 32, (1 << 32) + 1];
+
+/// One payload of one to three marker-shaped runs — an anchor of some
+/// marker kind, round digits, a separator, token digits, a terminator —
+/// each part sometimes wrong (zero-led digits, a foreign anchor or
+/// separator, a longer token sharing a decimal prefix, no terminator),
+/// with junk between; sometimes cut mid-marker, sometimes random bytes.
+fn evidence_payload(m: &mut Mix, method: MethodId) -> Vec<u8> {
+    if m.below(8) == 0 {
+        return (0..m.below(40)).map(|_| m.next() as u8).collect();
+    }
+    let label = method.label();
+    let (own, own_sep) = if method.is_http_based() {
+        (format!("m={label}&r="), "&t=")
+    } else {
+        (format!("probe m={label} r="), " t=")
+    };
+    let anchors = [
+        own.as_str(),
+        "pong r=",
+        "m=xhr_get&r=",
+        "probe m=java_tcp r=",
+        "r=",
+    ];
+    let rounds = ["1", "2", "3", "01", "4", "", "256"];
+    let seps = [own_sep, " t=", "&t=", "t="];
+    let ends = [" ", "", "x", "0", " HTTP/1.1"];
+    let mut p = Vec::new();
+    for _ in 0..1 + m.below(3) {
+        if m.below(3) == 0 {
+            p.extend_from_slice(["x", " ", "7", "&"][m.below(4)].as_bytes());
+        }
+        let pick = |m: &mut Mix, xs: &[&str]| {
+            // The first entry — the method's own shape — half the time.
+            let i = if m.below(2) == 0 {
+                0
+            } else {
+                m.below(xs.len())
+            };
+            xs[i].as_bytes().to_vec()
+        };
+        p.extend(pick(m, &anchors));
+        p.extend(pick(m, &rounds));
+        p.extend(pick(m, &seps));
+        if m.below(6) == 0 {
+            p.push(b'0');
+        }
+        p.extend_from_slice(TOKENS[m.below(TOKENS.len())].to_string().as_bytes());
+        p.extend(pick(m, &ends));
+    }
+    // Digit runs cut at the frame end.
+    if m.below(4) == 0 {
+        p.truncate(m.below(p.len() + 1));
+    }
+    p
+}
+
+/// A TCP or UDP frame carrying `payload`; sometimes corrupted or
+/// truncated so the wire parser drops it.
+fn evidence_frame(m: &mut Mix, payload: Vec<u8>) -> Bytes {
+    let (src, dst) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+    let (protocol, transport) = if m.below(2) == 0 {
+        let seg = TcpSegment {
+            src_port: 5,
+            dst_port: 80,
+            seq: 1,
+            ack: 1,
+            flags: TcpFlags::ACK | TcpFlags::PSH,
+            window: 1000,
+            mss: None,
+            payload: Bytes::from(payload),
+        };
+        (IpProtocol::Tcp, seg.emit(src, dst))
+    } else {
+        let d = UdpDatagram {
+            src_port: 40000,
+            dst_port: 3478,
+            payload: Bytes::from(payload),
+        };
+        (IpProtocol::Udp, d.emit(src, dst))
+    };
+    let mut frame = EthernetFrame {
+        dst: MacAddr::local(1),
+        src: MacAddr::local(2),
+        ethertype: EtherType::Ipv4,
+        payload: Ipv4Packet {
+            src,
+            dst,
+            protocol,
+            ttl: 64,
+            ident: 1,
+            payload: transport,
+        }
+        .emit(),
+    }
+    .emit()
+    .to_vec();
+    match m.below(10) {
+        0 => {
+            let at = 14 + m.below(frame.len() - 14);
+            frame[at] ^= 1 + m.below(255) as u8;
+        }
+        1 => frame.truncate(m.below(frame.len())),
+        _ => {}
+    }
+    Bytes::from(frame)
+}
+
+/// One tap's records from sampled words: non-decreasing stamps (equal
+/// ones included), both directions.
+fn evidence_tap(
+    words: &[u64],
+    method: MethodId,
+) -> Vec<(SimTime, bnm::sim::capture::CaptureDir, Bytes)> {
+    use bnm::sim::capture::CaptureDir;
+    let mut ts = 0u64;
+    words
+        .iter()
+        .map(|&w| {
+            let mut m = Mix(w);
+            ts += m.below(3) as u64;
+            let dir = if m.below(2) == 0 {
+                CaptureDir::Tx
+            } else {
+                CaptureDir::Rx
+            };
+            let payload = evidence_payload(&mut m, method);
+            (
+                SimTime::from_micros(ts),
+                dir,
+                evidence_frame(&mut m, payload),
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn contains_agrees_with_the_naive_scan(
+        // Long enough for several of the kernel's 32-byte blocks.
+        haystack in proptest::collection::vec(0u8..4, 0..100),
+        needle in proptest::collection::vec(0u8..4, 0..6),
+    ) {
+        use bnm::core::frames::{contains, occurrences};
+        let naive: Vec<usize> = if needle.is_empty() {
+            Vec::new()
+        } else {
+            haystack
+                .windows(needle.len())
+                .enumerate()
+                .filter(|(_, w)| *w == &needle[..])
+                .map(|(i, _)| i)
+                .collect()
+        };
+        prop_assert_eq!(contains(&haystack, &needle), !naive.is_empty());
+        prop_assert_eq!(occurrences(&haystack, &needle).collect::<Vec<_>>(), naive);
+    }
+
+    /// `payload_of` skips the parser's copies but not its checks: on
+    /// arbitrary bytes, valid frames, frames with one byte flipped and
+    /// every truncation of them, it never panics and yields exactly the
+    /// payload the full parse does.
+    #[test]
+    fn payload_of_never_panics_and_matches_the_full_parse(
+        bytes in proptest::collection::vec(any::<u8>(), 0..120),
+        word in any::<u64>(),
+    ) {
+        use bnm::core::frames::payload_of;
+        use bnm::sim::wire::Transport;
+        let full_parse = |frame: &[u8]| match ParsedPacket::parse(frame).ok()?.transport {
+            Transport::Tcp(seg) => Some(seg.payload.to_vec()),
+            Transport::Udp(d) => Some(d.payload.to_vec()),
+            _ => None,
+        };
+        let mut m = Mix(word);
+        let payload = evidence_payload(&mut m, MethodId::XhrGet);
+        let frame = evidence_frame(&mut m, payload).to_vec();
+        let mut flipped = frame.clone();
+        if !flipped.is_empty() {
+            let at = m.below(flipped.len());
+            flipped[at] ^= 1 + m.below(255) as u8;
+        }
+        for f in [&bytes, &frame, &flipped] {
+            for cut in 0..=f.len() {
+                let f = &f[..cut];
+                prop_assert_eq!(payload_of(f).map(<[u8]>::to_vec), full_parse(f));
+            }
+        }
+    }
+
+    /// The marker index — client sinks and the server index alike —
+    /// answers every question exactly as a full scan of the parsed
+    /// capture does, on record sets built to probe the scan's edges.
+    #[test]
+    fn marker_index_agrees_with_the_capture_scan(
+        client_words in proptest::collection::vec(any::<u64>(), 0..30),
+        server_words in proptest::collection::vec(any::<u64>(), 0..30),
+        method_pick in 0usize..4,
+        rounds in 1u8..=3,
+    ) {
+        use bnm::core::matching::{match_datagram_train, ParsedCapture};
+        use bnm::core::{ServerMarkerIndex, SessionMarkerSink};
+        use bnm::sim::capture::{CaptureBuffer, CaptureSink};
+
+        let method = [
+            MethodId::XhrGet,
+            MethodId::JavaTcp,
+            MethodId::WebRtc,
+            MethodId::WebSocket,
+        ][method_pick];
+        let taps = [evidence_tap(&client_words, method), evidence_tap(&server_words, method)];
+        let [client_scan, server_scan] = taps.clone().map(|records| {
+            let mut buf = CaptureBuffer::new("oracle");
+            for (ts, dir, frame) in records {
+                buf.record(ts, dir, frame);
+            }
+            ParsedCapture::parse(&buf)
+        });
+        let mut server = ServerMarkerIndex::new(method, rounds, &TOKENS);
+        for (ts, dir, frame) in &taps[1] {
+            server.on_record(*ts, *dir, frame);
+        }
+        for token in TOKENS {
+            let mut client = SessionMarkerSink::new(method, rounds, token);
+            for (ts, dir, frame) in &taps[0] {
+                client.on_record(*ts, *dir, frame);
+            }
+            for round in 1..=rounds {
+                prop_assert_eq!(
+                    client.match_round(round),
+                    client_scan.match_round(method, round, token),
+                    "{:?} token {} round {}", method, token, round
+                );
+                prop_assert_eq!(
+                    server.round_retransmitted(round, token),
+                    server_scan.round_retransmitted(method, round, token),
+                    "{:?} token {} round {}", method, token, round
+                );
+            }
+            prop_assert_eq!(
+                client.match_datagram_train(&server, rounds),
+                match_datagram_train(&client_scan, &server_scan, method, rounds, token),
+                "{:?} token {}", method, token
+            );
+        }
     }
 }

@@ -2,15 +2,17 @@
 //!
 //! 1. **Streaming parity** — a cell run with streaming capture
 //!    consumption ([`StreamingSpec::streaming`]) is bit-identical to the
-//!    batch pipeline: the marker sinks observe exactly the records a
+//!    batch pipeline. Both fold every tap into the same marker index;
+//!    streaming feeds it at capture time, batch from the drained taps
+//!    after the run, and the sinks observe exactly the records a
 //!    retaining tap would store (same noise-stamped timestamps, same
-//!    snaplen truncation) and replay the same matching decision order.
-//!    Asserted on clean, impaired and noisy-capture cells, single- and
-//!    multi-client.
-//! 2. **Parallel-matching parity** — batch-path per-session matching is
-//!    bit-identical between one worker and many: matching is
-//!    per-session-independent, and results fold in ascending session
-//!    order either way.
+//!    snaplen truncation). Asserted on clean, impaired and noisy-capture
+//!    reliable cells, single- and multi-client, and on WebRTC datagram
+//!    cells (clean, lossy and contended), datagram samples included.
+//! 2. **Parallel-matching parity** — batch-path per-session evidence
+//!    folding is bit-identical between one worker and many, for
+//!    reliable and datagram cells: each session's sink is independent,
+//!    and results fold in ascending session order either way.
 //! 3. **Bounded memory** — in streaming mode, the frame pool's
 //!    live-buffer high-water mark does not grow with the client count,
 //!    while batch retention does.
@@ -31,6 +33,17 @@ fn base_cell(clients: u32, reps: u32) -> CellBuilder {
     .contention(ContentionSpec::clients(clients).with_server_link_rate(2_000_000))
 }
 
+fn webrtc_cell(clients: u32, reps: u32) -> CellBuilder {
+    ExperimentCell::builder(
+        MethodId::WebRtc,
+        RuntimeSel::Browser(BrowserKind::Chrome),
+        OsKind::Ubuntu1204,
+    )
+    .reps(reps)
+    .seed(0xB32B_57E4)
+    .contention(ContentionSpec::clients(clients).with_server_link_rate(2_000_000))
+}
+
 fn assert_bit_identical(a: &CellResult, b: &CellResult, what: &str) {
     assert_eq!(a.d1, b.d1, "{what}: d1");
     assert_eq!(a.d2, b.d2, "{what}: d2");
@@ -40,6 +53,11 @@ fn assert_bit_identical(a: &CellResult, b: &CellResult, what: &str) {
     assert_eq!(a.sessions.len(), b.sessions.len(), "{what}: session count");
     for (x, y) in a.sessions.iter().zip(&b.sessions) {
         assert_eq!(x, y, "{what}: session {}", x.session);
+        assert_eq!(
+            x.datagram, y.datagram,
+            "{what}: session {} datagram",
+            x.session
+        );
     }
 }
 
@@ -70,6 +88,15 @@ fn streaming_mode_is_bit_identical_to_batch() {
             "noisy capture",
             base_cell(2, 3).capture_noise_ns(400_000).build().unwrap(),
         ),
+        ("webrtc clean single", webrtc_cell(1, 4).build().unwrap()),
+        (
+            "webrtc lossy single",
+            webrtc_cell(1, 8)
+                .impairment(Impairment::loss(0.05))
+                .build()
+                .unwrap(),
+        ),
+        ("webrtc contended", webrtc_cell(8, 3).build().unwrap()),
     ];
     for (what, batch) in variants {
         let streaming = batch.clone().with_streaming(StreamingSpec::streaming());
@@ -81,7 +108,8 @@ fn streaming_mode_is_bit_identical_to_batch() {
 
 /// (1b) An impaired cell actually excludes rounds in this configuration
 /// — otherwise the parity above would not be exercising the
-/// retransmission paths at all.
+/// retransmission paths at all. Likewise the lossy WebRTC cell must
+/// actually lose probes.
 #[test]
 fn impaired_parity_cells_exercise_exclusions() {
     let cell = base_cell(3, 4)
@@ -93,16 +121,30 @@ fn impaired_parity_cells_exercise_exclusions() {
         r.excluded_rounds > 0 || r.failures > 0,
         "loss 5% produced neither exclusions nor failures; parity test is vacuous"
     );
+    let lossy = webrtc_cell(1, 8)
+        .impairment(Impairment::loss(0.05))
+        .build()
+        .unwrap();
+    let r = ExperimentRunner::try_run(&lossy).unwrap();
+    let d = r.sessions[0].datagram.as_ref().expect("datagram samples");
+    assert!(
+        d.lost_upstream + d.lost_downstream > 0,
+        "loss 5% lost no probe; datagram parity test is vacuous"
+    );
 }
 
 /// (2) Parallel per-session matching folds to the serial bits: forcing
 /// one worker and forcing several must agree on everything, including
-/// which error a failing repetition reports.
+/// which error a failing repetition reports and the datagram samples.
 #[test]
 fn parallel_matching_is_bit_identical_to_serial() {
-    for imp in [Impairment::NONE, Impairment::loss(0.04)] {
-        let serial = base_cell(24, 2)
-            .impairment(imp)
+    let cells = [
+        base_cell(24, 2),
+        base_cell(24, 2).impairment(Impairment::loss(0.04)),
+        webrtc_cell(24, 2).impairment(Impairment::loss(0.02)),
+    ];
+    for cell in cells {
+        let serial = cell
             .streaming(StreamingSpec::batch().with_match_workers(1))
             .build()
             .unwrap();
